@@ -15,6 +15,7 @@ from bellpart.triangles import (
     stirling2,
     stirling_b,
     stirling_d,
+    stirling_row,
     verify_identity,
 )
 from bellpart.partitions import (
@@ -29,9 +30,11 @@ from bellpart.partitions import (
 )
 from bellpart.series import TruncatedSeries, egf_coefficients, egf_stirling_d_column
 from bellpart.dobinski import Interval, dobinski_a, dobinski_b, dobinski_d, exp_neg_bounds
-from bellpart.kernels import IMPL as KERNEL_IMPL
 
 __version__ = "0.1.0"
+
+# The triangle recurrences have one implementation, in pure Python.
+KERNEL_IMPL = "python"
 
 __all__ = [
     "Family",
@@ -46,6 +49,7 @@ __all__ = [
     "stirling2",
     "stirling_b",
     "stirling_d",
+    "stirling_row",
     "verify_identity",
     "ClassicalSetPartition",
     "SignedSetPartition",

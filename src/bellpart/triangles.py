@@ -12,6 +12,7 @@ Number families:
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
+``stirling_row(family, n)`` serves a whole row at once.
 """
 
 from __future__ import annotations
@@ -22,13 +23,43 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from bellpart.kernels import WEIGHT_CLASSICAL, WEIGHT_ODD, extend_weighted_rows
-
 
 class Family(Enum):
     CLASSICAL = "classical"
     TYPE_B = "b"
     TYPE_D = "d"
+
+
+# weight kinds of extend_weighted_rows
+WEIGHT_CLASSICAL = 0
+WEIGHT_ODD = 1
+
+
+def extend_weighted_rows(rows: list[list[int]], kind: int, n_max: int) -> list[list[int]]:
+    """Extend ``rows`` in place until it holds rows 0..n_max.
+
+    Row n is a list of n + 1 ints, built from row n - 1 by the weighted
+    recurrence ``T(n, k) = T(n-1, k-1) + w(k) T(n-1, k)`` with w(k) = k for
+    ``WEIGHT_CLASSICAL`` and w(k) = 2k + 1 for ``WEIGHT_ODD`` (type B).
+    ``rows`` must either be empty or hold a valid prefix of the triangle.
+    """
+    if not rows:
+        rows.append([1])
+    while len(rows) <= n_max:
+        n = len(rows)
+        prev = rows[n - 1]
+        row = [0] * (n + 1)
+        if kind == WEIGHT_CLASSICAL:
+            row[0] = 0
+            for k in range(1, n):
+                row[k] = prev[k - 1] + k * prev[k]
+        else:
+            row[0] = prev[0]
+            for k in range(1, n):
+                row[k] = prev[k - 1] + (2 * k + 1) * prev[k]
+        row[n] = 1
+        rows.append(row)
+    return rows
 
 
 # Row caches, extended bottom-up on demand.  Compute-then-publish under a
@@ -114,6 +145,21 @@ def stirling(family: Family, n: int, k: int) -> int:
     return _STIRLING_FN[family](n, k)
 
 
+def stirling_row(family: Family, n: int) -> list[int]:
+    """Row n of the family's triangle, ``[S(n, 0), ..., S(n, n)]``.
+
+    The list is a new copy, so callers may change it without touching the
+    cache.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if family is Family.CLASSICAL:
+        return list(_classical_rows(n)[n])
+    if family is Family.TYPE_B:
+        return list(_b_rows(n)[n])
+    return [stirling_d(n, k) for k in range(n + 1)]
+
+
 def bell(family: Family, n: int) -> int:
     return _BELL_FN[family](n)
 
@@ -124,16 +170,15 @@ class Triangle:
 
     family: Family
     max_row: int
-    entries: dict[tuple[int, int], int]
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def build(cls, family: Family, max_row: int) -> "Triangle":
-        fn = _STIRLING_FN[family]
-        entries = {(r, k): fn(r, k) for r in range(max_row + 1) for k in range(r + 1)}
-        return cls(family, max_row, entries)
+        rows = tuple(tuple(stirling_row(family, r)) for r in range(max_row + 1))
+        return cls(family, max_row, rows)
 
     def row(self, r: int) -> list[int]:
-        return [self.entries[r, k] for k in range(r + 1)]
+        return list(self.rows[r])
 
     def row_sum(self, r: int) -> int:
         return sum(self.row(r))
@@ -174,7 +219,7 @@ def single_positive_zero_block_formula(n: int) -> int:
     """Closed formula n * sum_k 2^(n-1-k) S(n-1,k) for n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n * sum((1 << (n - 1 - k)) * stirling2(n - 1, k) for k in range(n))
+    return n * _weighted_classical_sum(n - 1)
 
 
 def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
@@ -184,11 +229,7 @@ def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
     unsigned_groups[i-1] = C(n,i) * sum_k 2^(n-i-k) S(n-i,k) for i = 1..n and
     bell_groups[k]       = 2^k C(n,k) D(n-k)                 for k = 0..n.
     """
-    unsigned = [
-        binomial(n, i)
-        * sum((1 << (n - i - k)) * stirling2(n - i, k) for k in range(n - i + 1))
-        for i in range(1, n + 1)
-    ]
+    unsigned = [binomial(n, i) * _weighted_classical_sum(n - i) for i in range(1, n + 1)]
     bells = [(1 << k) * binomial(n, k) * bell_d(n - k) for k in range(n + 1)]
     return unsigned, bells
 
@@ -265,11 +306,7 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
                 break
     else:  # THM_4_7
         for n in range(n_max + 1):
-            lhs = sum(
-                binomial(n, i)
-                * sum((1 << (n - i - k)) * stirling2(n - i, k) for k in range(n - i + 1))
-                for i in range(1, n + 1)
-            )
+            lhs = sum(binomial(n, i) * _weighted_classical_sum(n - i) for i in range(1, n + 1))
             rhs = bell_b(n) - _weighted_classical_sum(n)
             values.append((n, rhs))
             if lhs != rhs:

@@ -1,6 +1,7 @@
 """CLI surface: output formats, exit codes, round-trips."""
 
 import json
+import sys
 
 import pytest
 
@@ -156,6 +157,27 @@ def test_dobinski_b8(capsys):
     code, out = run(capsys, "dobinski", "b", "8", "1/2")
     assert code == 0
     assert "rounded 219920" in out
+
+
+@pytest.fixture
+def default_int_str_cap():
+    """Python's default 4,300-digit int->str cap, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_dobinski_prints_past_int_str_cap(capsys, default_int_str_cap):
+    # the interval endpoints at n = 62 have more than 4,300 digits
+    code, out = run(capsys, "dobinski", "a", "62", "1/2")
+    assert code == 0
+    assert out.splitlines()[-1] == "OK"
 
 
 def test_dobinski_bad_width(capsys):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from bellpart import triangles
 from bellpart.triangles import (
+    WEIGHT_CLASSICAL,
+    WEIGHT_ODD,
     Family,
     Triangle,
     bell_a,
@@ -13,9 +15,13 @@ from bellpart.triangles import (
     bell_d,
     binomial,
     d_recurrence_terms,
+    bell,
+    extend_weighted_rows,
+    stirling,
     stirling2,
     stirling_b,
     stirling_d,
+    stirling_row,
     verify_identity,
 )
 
@@ -137,9 +143,41 @@ def test_triangle_build():
     t = Triangle.build(Family.TYPE_D, 7)
     assert t.row(4) == TABLE_D[4]
     assert t.row_sum(7) == 17867
-    assert t.entries[0, 0] == 1
+    assert t.row(0) == [1]
     for r in range(8):
-        assert t.entries[r, r] == 1
+        assert t.row(r)[r] == 1
+
+
+def test_pure_rows_basic():
+    rows = extend_weighted_rows([], WEIGHT_ODD, 3)
+    assert rows == [[1], [1, 1], [1, 4, 1], [1, 13, 9, 1]]
+
+
+def test_pure_rows_incremental_extension():
+    rows = extend_weighted_rows([], WEIGHT_CLASSICAL, 2)
+    extend_weighted_rows(rows, WEIGHT_CLASSICAL, 5)
+    assert rows[5] == [0, 1, 15, 25, 10, 1]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_stirling_row_matches_cells(family):
+    for n in range(41):
+        assert stirling_row(family, n) == [stirling(family, n, k) for k in range(n + 1)]
+    with pytest.raises(ValueError):
+        stirling_row(family, -1)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_stirling_row_is_a_copy(family):
+    n = 12
+    cells = [stirling(family, n, k) for k in range(n + 1)]
+    total = bell(family, n)
+    row = stirling_row(family, n)
+    row[3] += 1
+    row.append(7)
+    assert [stirling(family, n, k) for k in range(n + 1)] == cells
+    assert bell(family, n) == total
+    assert stirling_row(family, n) == cells
 
 
 class TestIdentities:
