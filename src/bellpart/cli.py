@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: table, verify, enumerate, oracle-check, dobinski, egf-check.
-Exit codes: 0 success/verified, 1 verification failure, 2 usage error.
+Exit codes: 0 success/verified, 1 verification failure, 2 usage error
+(including a negative n, row count or order).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -99,14 +100,14 @@ def cmd_oracle_check(args) -> int:
     ok = True
     for n in range(args.n_max + 1):
         n_ok = True
+        counts_by_family, defect = partitions.count_one_pass(n)
         for family in Family:
-            counts = partitions.count_by_pairs(n, family)
+            counts = counts_by_family[family]
             expected = triangles.stirling_row(family, n)
             if counts != expected:
                 n_ok = False
                 print(f"n={n} family={family.value}: MISMATCH {counts} != {expected}")
         if n >= 1:
-            defect = partitions.count_single_positive_zero_block(n)
             expected_defect = triangles.bell_b(n) - triangles.bell_d(n)
             if defect != expected_defect:
                 n_ok = False
@@ -224,6 +225,8 @@ def main(argv=None) -> int:
             parser.error("--rows must be >= 0")
         return cmd_table(args)
     if args.command == "verify":
+        if args.max_n < 0:
+            parser.error("--max-n must be >= 0")
         return cmd_verify(args)
     if args.command == "enumerate":
         if args.n < 0:
@@ -234,6 +237,8 @@ def main(argv=None) -> int:
             parser.error("n_max must be >= 0")
         return cmd_oracle_check(args)
     if args.command == "dobinski":
+        if args.n < 0:
+            parser.error("n must be >= 0")
         return cmd_dobinski(args, parser)
     if args.command == "egf-check":
         if args.order < 0:

@@ -8,7 +8,7 @@ per pair: elements sorted by absolute value, the minimum-absolute-value
 element positive, representatives ordered by that minimum.
 
 Type D imposes that the zero-block has at least two positive elements or
-none (|zero_support| != 1).
+none (|zero_support| != 1); ``is_type_d`` holds that rule.
 """
 
 from __future__ import annotations
@@ -121,6 +121,11 @@ def _subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
     return iter(sorted(all_subsets))
 
 
+def is_type_d(zero_support: Sequence[int]) -> bool:
+    """A signed partition with this zero support is of type D (not just B)."""
+    return len(zero_support) != 1
+
+
 def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
     """Each canonical signed partition of <n> exactly once.
 
@@ -136,7 +141,7 @@ def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
     type_d = family is Family.TYPE_D
     ground = set(range(1, n + 1))
     for zero_support in _subsets_lex(n):
-        if type_d and len(zero_support) == 1:
+        if type_d and not is_type_d(zero_support):
             continue
         rest = sorted(ground - set(zero_support))
         for blocks in _rgs_blocks(rest):
@@ -154,7 +159,7 @@ def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
 
 def classify(p: SignedSetPartition) -> Family:
     """TYPE_D iff the zero-block does not have exactly one positive element."""
-    return Family.TYPE_D if len(p.zero_support) != 1 else Family.TYPE_B
+    return Family.TYPE_D if is_type_d(p.zero_support) else Family.TYPE_B
 
 
 def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartition:
@@ -224,3 +229,39 @@ def count_single_positive_zero_block(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return sum(1 for p in enum_signed(n, Family.TYPE_B) if len(p.zero_support) == 1)
+
+
+def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:
+    """Every oracle count of n from one walk over the B(n) signed partitions.
+
+    Returns ``(counts, defect)``: ``counts[family]`` equals
+    ``count_by_pairs(n, family)`` for each family, and ``defect`` the number
+    of type-B partitions that are not type D, B(n) - D(n) (0 at n = 0).
+    The walk is that of ``enum_signed(n, TYPE_B)``, but a sign vector is
+    only an int and no partition object is built.  The classical partitions
+    of [n] are the unsigned partitions of the rest of the empty zero support.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    classical, type_b, type_d = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    defect = 0
+    ground = set(range(1, n + 1))
+    for zero_support in _subsets_lex(n):
+        rest = sorted(ground - set(zero_support))
+        in_d = is_type_d(zero_support)
+        for blocks in _rgs_blocks(rest):
+            k = len(blocks)
+            if not zero_support:
+                classical[k] += 1
+            # bit j of the sign vector is the sign of the j-th non-minimum
+            # element; every vector is one partition
+            visited = 0
+            for _signs in range(1 << (len(rest) - k)):
+                visited += 1
+            type_b[k] += visited
+            if in_d:
+                type_d[k] += visited
+            else:
+                defect += visited
+    counts = {Family.CLASSICAL: classical, Family.TYPE_B: type_b, Family.TYPE_D: type_d}
+    return counts, defect

@@ -12,7 +12,8 @@ Number families:
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
-``stirling_row(family, n)`` serves a whole row at once.
+``stirling_row(family, n)`` serves a whole row at once.  Rows and Bell
+numbers exist for n >= 0 only; a negative n raises ValueError.
 """
 
 from __future__ import annotations
@@ -116,15 +117,24 @@ def stirling_d(n: int, k: int) -> int:
     return value
 
 
+def _check_row(n: int) -> None:
+    """Rows exist for n >= 0 only; a negative n would index the cache from its end."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+
+
 def bell_a(n: int) -> int:
+    _check_row(n)
     return sum(_classical_rows(n)[n])
 
 
 def bell_b(n: int) -> int:
+    _check_row(n)
     return sum(_b_rows(n)[n])
 
 
 def bell_d(n: int) -> int:
+    _check_row(n)
     return sum(stirling_d(n, k) for k in range(n + 1))
 
 
@@ -151,8 +161,7 @@ def stirling_row(family: Family, n: int) -> list[int]:
     The list is a new copy, so callers may change it without touching the
     cache.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_row(n)
     if family is Family.CLASSICAL:
         return list(_classical_rows(n)[n])
     if family is Family.TYPE_B:

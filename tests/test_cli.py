@@ -82,6 +82,13 @@ def test_verify_unknown_id_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_negative_max_n_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--max-n", "-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_enumerate_d1(capsys):
     code, out = run(capsys, "enumerate", "d", "1")
     assert code == 0
@@ -137,6 +144,15 @@ def test_oracle_check(capsys):
     assert out.splitlines()[-1] == "oracle-check: PASS"
 
 
+def test_oracle_check_9(capsys):
+    code, out = run(capsys, "oracle-check", "9")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "n=9 ok: A=21147 B=1832224 D=1149079",
+        "oracle-check: PASS",
+    ]
+
+
 def test_dobinski_ok(capsys):
     code, out = run(capsys, "dobinski", "d", "7", "1/2")
     assert code == 0
@@ -185,6 +201,14 @@ def test_dobinski_bad_width(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dobinski", "a", "3", bad])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("family", ["a", "b", "d"])
+@pytest.mark.parametrize("n", ["-1", "-2"])
+def test_dobinski_negative_n_usage_error(capsys, family, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["dobinski", family, n, "1/2"])
+    assert exc.value.code == 2
 
 
 def test_egf_check(capsys):

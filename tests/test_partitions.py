@@ -13,6 +13,7 @@ from bellpart.partitions import (
     canonicalize,
     classify,
     count_by_pairs,
+    count_one_pass,
     count_single_positive_zero_block,
     enum_classical,
     enum_signed,
@@ -229,6 +230,19 @@ class TestCounts:
     def test_single_positive_rejects_zero(self):
         with pytest.raises(ValueError):
             count_single_positive_zero_block(0)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_per_partition_counts(self, n):
+        counts, defect = count_one_pass(n)
+        for family in Family:
+            assert counts[family] == count_by_pairs(n, family)
+        assert defect == (count_single_positive_zero_block(n) if n else 0)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            count_one_pass(-1)
 
 
 def test_render_text_zero_support():

@@ -103,6 +103,22 @@ def test_out_of_range_is_zero():
         assert fn(0, 3) == 0
 
 
+@pytest.mark.parametrize("fn", [bell_a, bell_b, bell_d])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_bell_negative_n_raises(fn, n):
+    fn(5)  # with rows cached, a negative index would read a cached row
+    with pytest.raises(ValueError):
+        fn(n)
+
+
+@pytest.mark.parametrize("fn", [bell_a, bell_b, bell_d])
+def test_bell_negative_n_raises_on_cold_cache(fn, monkeypatch):
+    monkeypatch.setattr(triangles, "_rows_classical", [])
+    monkeypatch.setattr(triangles, "_rows_b", [])
+    with pytest.raises(ValueError):
+        fn(-1)
+
+
 def test_spot_values():
     assert stirling2(5, 3) == 25
     assert stirling2(7, 4) == 350
