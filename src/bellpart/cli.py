@@ -122,20 +122,14 @@ def cmd_oracle_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_dobinski(args, parser: argparse.ArgumentParser) -> int:
-    try:
-        width = Fraction(args.width)
-        if width <= 0:
-            raise ValueError
-    except (ValueError, ZeroDivisionError):
-        parser.error(f"invalid width: {args.width!r}")
+def cmd_dobinski(args) -> int:
     fn, exact_fn = _DOBINSKI_FN[args.family]
-    interval = fn(args.n, width)
+    interval = fn(args.n, args.width)
     exact = exact_fn(args.n)
     print(f"lo {interval.lo}")
     print(f"hi {interval.hi}")
     ok = interval.contains(exact)
-    if width <= Fraction(1, 2):
+    if args.width <= Fraction(1, 2):
         rounded = round(interval.midpoint)
         ok = ok and rounded == exact
         print(f"rounded {rounded}")
@@ -160,8 +154,9 @@ def cmd_egf_check(args) -> int:
         )
     k_max = min(args.order, 10)
     columns = [series.egf_stirling_d_column(k, args.order) for k in range(k_max + 1)]
+    d_rows = [triangles.stirling_row(Family.TYPE_D, n) for n in range(args.order + 1)]
     for k, col in enumerate(columns):
-        expected = [triangles.stirling_d(n, k) for n in range(args.order + 1)]
+        expected = [row[k] if k < len(row) else 0 for row in d_rows]
         if col != expected:
             ok = False
             print(f"stirling-d column k={k}: MISMATCH")
@@ -175,6 +170,26 @@ def cmd_egf_check(args) -> int:
     return 0 if ok else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid nonnegative int: {text!r}")
+
+
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+        if value > 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"invalid width: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellpart",
@@ -185,29 +200,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="print a Stirling triangle or Bell sequence")
     p.add_argument("family", choices=sorted(_TABLE_FAMILIES))
-    p.add_argument("--rows", type=int, required=True, metavar="N")
+    p.add_argument("--rows", type=_nonnegative_int, required=True, metavar="N")
     p.add_argument("--format", choices=["tsv", "json", "text"], default="tsv")
+    p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("verify", help="check identities by exact arithmetic")
     p.add_argument("identity", choices=list(triangles.IDENTITY_IDS) + ["all"])
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=_nonnegative_int, required=True, dest="max_n")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream partitions")
     p.add_argument("family", choices=sorted(_ENUM_FAMILIES))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_nonnegative_int)
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("oracle-check", help="enumeration vs recurrence counts")
-    p.add_argument("n_max", type=int)
+    p.add_argument("n_max", type=_nonnegative_int)
+    p.set_defaults(run=cmd_oracle_check)
 
     p = sub.add_parser("dobinski", help="interval evaluation of the explicit formulas")
     p.add_argument("family", choices=sorted(_DOBINSKI_FN))
-    p.add_argument("n", type=int)
-    p.add_argument("width", help="rational width target, e.g. 1/2")
+    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("width", type=_positive_fraction, help="rational width target, e.g. 1/2")
+    p.set_defaults(run=cmd_dobinski)
 
     p = sub.add_parser("egf-check", help="generating-function coefficients vs exact values")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_nonnegative_int)
+    p.set_defaults(run=cmd_egf_check)
 
     return parser
 
@@ -218,33 +239,8 @@ def main(argv=None) -> int:
     # never exits 1 like a failed check.  Python 3.10 before 3.10.7 has no cap.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "table":
-        if args.rows < 0:
-            parser.error("--rows must be >= 0")
-        return cmd_table(args)
-    if args.command == "verify":
-        if args.max_n < 0:
-            parser.error("--max-n must be >= 0")
-        return cmd_verify(args)
-    if args.command == "enumerate":
-        if args.n < 0:
-            parser.error("n must be >= 0")
-        return cmd_enumerate(args)
-    if args.command == "oracle-check":
-        if args.n_max < 0:
-            parser.error("n_max must be >= 0")
-        return cmd_oracle_check(args)
-    if args.command == "dobinski":
-        if args.n < 0:
-            parser.error("n must be >= 0")
-        return cmd_dobinski(args, parser)
-    if args.command == "egf-check":
-        if args.order < 0:
-            parser.error("order must be >= 0")
-        return cmd_egf_check(args)
-    parser.error(f"unknown command {args.command}")  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

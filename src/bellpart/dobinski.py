@@ -96,6 +96,8 @@ def _enclose(term, tail_term, n: int, width_target: Fraction, c: Fraction) -> In
     a factor 2, so the tail after R is within [0, 2 * tail_term(n, R+1)].
     ``tail_term`` must dominate ``term`` termwise.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     width_target = Fraction(width_target)
     if width_target <= 0:
         raise ValueError("width_target must be > 0")

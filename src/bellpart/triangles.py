@@ -6,8 +6,8 @@ Number families:
 * ``stirling2(n, k)``  -- classical second-kind Stirling numbers
 * ``stirling_b(n, k)`` -- type-B analogue, recurrence
   ``S_B(n,k) = S_B(n-1,k-1) + (2k+1) S_B(n-1,k)``
-* ``stirling_d(n, k)`` -- type-D analogue, computed through
-  ``S_D(n,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k)``
+* ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
+  ``S_D(n,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k)``, uncached
 * ``bell_a / bell_b / bell_d`` -- the corresponding row sums.
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
@@ -22,7 +22,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class Family(Enum):
@@ -103,18 +103,26 @@ def stirling_b(n: int, k: int) -> int:
     return _b_rows(n)[n][k]
 
 
+def _d_row(n: int) -> list[int]:
+    """Row n of the type-D triangle as a new list, built in one pass.
+
+    Cell k < n is S_B(n,k) - n 2^(n-1-k) S(n-1,k); the last cell is 1.
+    """
+    if n == 0:
+        return [1]
+    prev = _classical_rows(n - 1)[n - 1]
+    row = [b - n * (s << (n - 1 - k)) for k, (b, s) in enumerate(zip(_b_rows(n)[n], prev))]
+    row.append(1)
+    if min(row) < 0:
+        k = next(k for k, value in enumerate(row) if value < 0)
+        raise AssertionError(f"stirling_d underflow at (n={n}, k={k})")
+    return row
+
+
 def stirling_d(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1
-    # The subtracted term vanishes when S(n-1,k) = 0, in particular at
-    # k = n where the exponent n-1-k would be negative.
-    s = stirling2(n - 1, k)
-    value = stirling_b(n, k) if s == 0 else stirling_b(n, k) - n * (1 << (n - 1 - k)) * s
-    if value < 0:
-        raise AssertionError(f"stirling_d underflow at (n={n}, k={k})")
-    return value
+    return _d_row(n)[k]
 
 
 def _check_row(n: int) -> None:
@@ -124,18 +132,15 @@ def _check_row(n: int) -> None:
 
 
 def bell_a(n: int) -> int:
-    _check_row(n)
-    return sum(_classical_rows(n)[n])
+    return sum(stirling_row(Family.CLASSICAL, n))
 
 
 def bell_b(n: int) -> int:
-    _check_row(n)
-    return sum(_b_rows(n)[n])
+    return sum(stirling_row(Family.TYPE_B, n))
 
 
 def bell_d(n: int) -> int:
-    _check_row(n)
-    return sum(stirling_d(n, k) for k in range(n + 1))
+    return sum(stirling_row(Family.TYPE_D, n))
 
 
 _STIRLING_FN = {
@@ -166,7 +171,7 @@ def stirling_row(family: Family, n: int) -> list[int]:
         return list(_classical_rows(n)[n])
     if family is Family.TYPE_B:
         return list(_b_rows(n)[n])
-    return [stirling_d(n, k) for k in range(n + 1)]
+    return _d_row(n)
 
 
 def bell(family: Family, n: int) -> int:
@@ -197,17 +202,6 @@ class Triangle:
 # Identity verification
 
 
-IDENTITY_IDS = (
-    "B_FROM_CLASSICAL",
-    "D_FROM_B",
-    "B_BELL_REC",
-    "ODD_WEIGHT_SUM",
-    "D_BELL_REC",
-    "ZERO_BLOCK_DEFECT",
-    "THM_4_7",
-)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     identity_id: str
@@ -221,7 +215,7 @@ class IdentityReport:
 
 def _weighted_classical_sum(n: int) -> int:
     """sum_k 2^(n-k) S(n,k)."""
-    return sum((1 << (n - k)) * stirling2(n, k) for k in range(n + 1))
+    return sum((1 << (n - k)) * s for k, s in enumerate(_classical_rows(n)[n]))
 
 
 def single_positive_zero_block_formula(n: int) -> int:
@@ -243,89 +237,93 @@ def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
     return unsigned, bells
 
 
+def _b_binomial_sum(n: int) -> int:
+    """sum_k 2^k C(n,k) B(n-k)."""
+    return sum((1 << k) * binomial(n, k) * bell_b(n - k) for k in range(n + 1))
+
+
+def _b_from_classical(n: int) -> tuple[list[int], list[int]]:
+    classical = _classical_rows(n)
+    rhs = [
+        sum((1 << (i - k)) * binomial(n, i) * classical[i][k] for i in range(k, n + 1))
+        for k in range(n + 1)
+    ]
+    return stirling_row(Family.TYPE_B, n), rhs
+
+
+def _d_from_b(n: int) -> tuple[list[int], list[int]]:
+    b_row = stirling_row(Family.TYPE_B, n)
+    prev = stirling_row(Family.CLASSICAL, n - 1) if n else []
+    rhs = [b - n * (1 << (n - 1 - k)) * s for k, (b, s) in enumerate(zip(b_row, prev))]
+    return stirling_row(Family.TYPE_D, n), rhs + [b_row[n]]
+
+
+class _Identity(NamedTuple):
+    sides: Callable[[int], tuple]  # n -> (lhs, rhs): whole rows if ``rows``, else ints
+    rows: bool = False
+    first_n: int = 0
+    # A recurrence for n + 1 is checked for n < n_max; it reports its
+    # values at n + 1 and a failure at the base index n.
+    shift: int = 0
+
+
+_IDENTITIES = {
+    "B_FROM_CLASSICAL": _Identity(_b_from_classical, rows=True),
+    "D_FROM_B": _Identity(_d_from_b, rows=True),
+    "B_BELL_REC": _Identity(lambda n: (bell_b(n + 1), bell_b(n) + _b_binomial_sum(n)), shift=1),
+    "ODD_WEIGHT_SUM": _Identity(
+        lambda n: (
+            sum((2 * k + 1) * s for k, s in enumerate(stirling_row(Family.TYPE_B, n))),
+            _b_binomial_sum(n),
+        )
+    ),
+    "D_BELL_REC": _Identity(
+        lambda n: (bell_d(n + 1), sum(map(sum, d_recurrence_terms(n)))), shift=1
+    ),
+    "ZERO_BLOCK_DEFECT": _Identity(
+        lambda n: (bell_b(n) - bell_d(n), single_positive_zero_block_formula(n)), first_n=1
+    ),
+    "THM_4_7": _Identity(
+        lambda n: (
+            sum(binomial(n, i) * _weighted_classical_sum(n - i) for i in range(1, n + 1)),
+            bell_b(n) - _weighted_classical_sum(n),
+        )
+    ),
+}
+
+IDENTITY_IDS = tuple(_IDENTITIES)
+
+
 def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
-    """Check one identity exactly for every n (and k where applicable) up to n_max."""
-    if identity_id not in IDENTITY_IDS:
+    """Check one identity exactly for every n (and k where applicable) up to n_max.
+
+    Both sides are counts, so a left side that differs from the right side
+    or is negative fails.
+    """
+    if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")
+    identity = _IDENTITIES[identity_id]
 
     failure: Optional[tuple[int, Optional[int], int, int]] = None
     values: list[tuple[int, int]] = []
-    scalar = True
-
-    if identity_id == "B_FROM_CLASSICAL":
-        scalar = False
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                lhs = stirling_b(n, k)
-                rhs = sum(
-                    (1 << (i - k)) * binomial(n, i) * stirling2(i, k)
-                    for i in range(k, n + 1)
-                )
-                if lhs != rhs:
-                    failure = (n, k, lhs, rhs)
-                    break
-            if failure:
-                break
-    elif identity_id == "D_FROM_B":
-        scalar = False
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                lhs = stirling_d(n, k)
-                sub = 0 if n == 0 else n * (1 << (n - 1 - k)) * stirling2(n - 1, k) if k < n else 0
-                rhs = stirling_b(n, k) - sub
-                if lhs != rhs or lhs < 0:
-                    failure = (n, k, lhs, rhs)
-                    break
-            if failure:
-                break
-    elif identity_id == "B_BELL_REC":
-        for n in range(n_max):
-            lhs = bell_b(n + 1)
-            rhs = bell_b(n) + sum(
-                (1 << k) * binomial(n, k) * bell_b(n - k) for k in range(n + 1)
+    for n in range(identity.first_n, n_max + 1 - identity.shift):
+        lhs, rhs = identity.sides(n)
+        if identity.rows:
+            failure = next(
+                ((n, k, l, r) for k, (l, r) in enumerate(zip(lhs, rhs)) if l != r or l < 0),
+                None,
             )
-            values.append((n + 1, rhs))
-            if lhs != rhs:
-                failure = (n, None, lhs, rhs)
-                break
-    elif identity_id == "ODD_WEIGHT_SUM":
-        for n in range(n_max + 1):
-            lhs = sum((2 * k + 1) * stirling_b(n, k) for k in range(n + 1))
-            rhs = sum((1 << k) * binomial(n, k) * bell_b(n - k) for k in range(n + 1))
-            values.append((n, rhs))
-            if lhs != rhs:
-                failure = (n, None, lhs, rhs)
-                break
-    elif identity_id == "D_BELL_REC":
-        for n in range(n_max):
-            lhs = bell_d(n + 1)
-            unsigned, bells = d_recurrence_terms(n)
-            rhs = sum(unsigned) + sum(bells)
-            values.append((n + 1, rhs))
-            if lhs != rhs:
-                failure = (n, None, lhs, rhs)
-                break
-    elif identity_id == "ZERO_BLOCK_DEFECT":
-        for n in range(1, n_max + 1):
-            lhs = bell_b(n) - bell_d(n)
-            rhs = single_positive_zero_block_formula(n)
-            values.append((n, rhs))
+        else:
+            values.append((n + identity.shift, rhs))
             if lhs != rhs or lhs < 0:
                 failure = (n, None, lhs, rhs)
-                break
-    else:  # THM_4_7
-        for n in range(n_max + 1):
-            lhs = sum(binomial(n, i) * _weighted_classical_sum(n - i) for i in range(1, n + 1))
-            rhs = bell_b(n) - _weighted_classical_sum(n)
-            values.append((n, rhs))
-            if lhs != rhs:
-                failure = (n, None, lhs, rhs)
-                break
+        if failure:
+            break
 
     return IdentityReport(
         identity_id=identity_id,
         n_max=n_max,
         status=failure is None,
         first_failure=failure,
-        values=tuple(values) if scalar else None,
+        values=None if identity.rows else tuple(values),
     )

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bellpart import triangles
 from bellpart.cli import main
 from bellpart.triangles import Family, stirling, stirling_b
 
@@ -197,7 +198,7 @@ def test_dobinski_prints_past_int_str_cap(capsys, default_int_str_cap):
 
 
 def test_dobinski_bad_width(capsys):
-    for bad in ("zero/half", "0", "-1/2"):
+    for bad in ("zero/half", "0", "-1/2", "1/0"):
         with pytest.raises(SystemExit) as exc:
             main(["dobinski", "a", "3", bad])
         assert exc.value.code == 2
@@ -221,3 +222,21 @@ def test_egf_check(capsys):
 def test_egf_check_order0(capsys):
     code, out = run(capsys, "egf-check", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "ident, cell, line",
+    [
+        ("D_FROM_B", (0, 0, 2), "D_FROM_B: FAIL at n=0 k=0: lhs=1 rhs=2"),
+        ("B_BELL_REC", (3, 1, 14), "B_BELL_REC: FAIL at n=2: lhs=25 rhs=24"),
+    ],
+)
+def test_verify_failure_line_and_exit_code(capsys, monkeypatch, ident, cell, line):
+    # B rows 0..8 with cell (n, k) set wrong; verify reads only rows <= 6
+    n, k, value = cell
+    rows = triangles.extend_weighted_rows([], triangles.WEIGHT_ODD, 8)
+    rows[n][k] = value
+    monkeypatch.setattr(triangles, "_rows_b", rows)
+    code, out = run(capsys, "verify", ident, "--max-n", "5")
+    assert code == 1
+    assert out.splitlines()[-1] == line

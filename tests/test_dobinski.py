@@ -125,3 +125,10 @@ class TestDTerms:
     def test_n1_r0_vanishes(self):
         # 0^0 = 1 convention: (2*0+1)^1 - 1*(2*0)^0 = 0
         assert _term_d(1, 0) == 0
+
+
+@pytest.mark.parametrize("enclose", [dobinski_a, dobinski_b, dobinski_d])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_n_raises_value_error(enclose, n):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        enclose(n, HALF)

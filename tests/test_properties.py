@@ -1,0 +1,72 @@
+"""Random-input properties that tie the recurrence rows to the other routes."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellpart.dobinski import dobinski_a, dobinski_b, dobinski_d
+from bellpart.partitions import canonicalize, enum_signed
+from bellpart.series import egf_stirling_d_column
+from bellpart.triangles import Family, bell_a, bell_b, bell_d, stirling_row
+
+
+@st.composite
+def _row_and_column(draw, n_max):
+    n = draw(st.integers(0, n_max))
+    return n, draw(st.integers(0, n))
+
+
+@given(_row_and_column(30))
+@settings(max_examples=25, deadline=None)
+def test_d_row_matches_egf_column(nk):
+    # the generating function shares no code with the row formula
+    n, k = nk
+    assert stirling_row(Family.TYPE_D, n)[k] == egf_stirling_d_column(k, n)[n]
+
+
+@given(st.integers(0, 80))
+@settings(max_examples=25, deadline=None)
+def test_d_row_between_zero_and_b_row(n):
+    d_row = stirling_row(Family.TYPE_D, n)
+    b_row = stirling_row(Family.TYPE_B, n)
+    assert all(0 <= d <= b for d, b in zip(d_row, b_row, strict=True))
+
+
+@given(st.integers(0, 60))
+@settings(max_examples=25, deadline=None)
+def test_classical_row_matches_inclusion_exclusion(n):
+    # S(n, k) = (1/k!) sum_j (-1)^j C(k, j) (k - j)^n, with 0^0 = 1
+    expected = [
+        sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+        // math.factorial(k)
+        for k in range(n + 1)
+    ]
+    assert stirling_row(Family.CLASSICAL, n) == expected
+
+
+@given(st.integers(0, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_canonicalize_undoes_shuffle_and_sign_flip(n, data):
+    partitions = list(enum_signed(n, Family.TYPE_B))
+    p = data.draw(st.sampled_from(partitions))
+    zero = [0, *p.zero_support, *(-i for i in p.zero_support)]
+    blocks = [zero] + [list(b) for rep in p.pairs for b in (rep, [-x for x in rep])]
+    # x -> -x maps a signed partition onto itself, block for block
+    flipped = [[-x for x in b] for b in blocks]
+    shuffled = [data.draw(st.permutations(b)) for b in data.draw(st.permutations(flipped))]
+    assert canonicalize(n, shuffled) == p
+
+
+@given(
+    st.sampled_from([(dobinski_a, bell_a), (dobinski_b, bell_b), (dobinski_d, bell_d)]),
+    st.integers(0, 30),
+    st.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64),
+)
+@settings(max_examples=30, deadline=None)
+def test_dobinski_contains_exact_value(fns, n, width):
+    enclose, exact = fns
+    interval = enclose(n, width)
+    assert interval.width <= width
+    assert interval.contains(exact(n))

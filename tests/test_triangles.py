@@ -251,3 +251,29 @@ def test_b_from_classical_pointwise(n, k):
     assert stirling_b(n, k) == sum(
         (1 << (i - k)) * binomial(n, i) * stirling2(i, k) for i in range(k, n + 1)
     )
+
+
+def _corrupted_b_rows(n_max: int, n: int, k: int, value: int) -> list[list[int]]:
+    """Type-B rows 0..n_max, built afresh, with cell (n, k) set to ``value``."""
+    rows = extend_weighted_rows([], WEIGHT_ODD, n_max)
+    rows[n][k] = value
+    return rows
+
+
+class TestIdentityFailures:
+    # The B rows are built past n_max before the cell is changed, so no
+    # later row is built from the wrong one.
+
+    def test_row_identity_reports_first_cell(self, monkeypatch):
+        monkeypatch.setattr(triangles, "_rows_b", _corrupted_b_rows(8, 0, 0, 2))
+        report = verify_identity("D_FROM_B", 5)
+        assert not report.status
+        assert report.first_failure == (0, 0, 1, 2)
+        assert report.values is None
+
+    def test_recurrence_reports_base_index(self, monkeypatch):
+        monkeypatch.setattr(triangles, "_rows_b", _corrupted_b_rows(8, 3, 1, 14))
+        report = verify_identity("B_BELL_REC", 5)
+        assert not report.status
+        assert report.first_failure == (2, None, 25, 24)
+        assert report.values == ((1, 2), (2, 6), (3, 24))
