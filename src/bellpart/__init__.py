@@ -1,5 +1,5 @@
 """Exact Bell and second-kind Stirling numbers of types classical, B and D,
-with a brute-force enumeration oracle, exact-rational generating functions
+with a brute-force enumeration oracle, integer exponential generating functions
 and rigorous interval evaluation of the explicit formulas."""
 
 from bellpart.triangles import (
@@ -28,7 +28,7 @@ from bellpart.partitions import (
     enum_classical,
     enum_signed,
 )
-from bellpart.series import TruncatedSeries, egf_coefficients, egf_stirling_d_column
+from bellpart.series import egf_coefficients, egf_stirling_d_column
 from bellpart.dobinski import Interval, dobinski_a, dobinski_b, dobinski_d, exp_neg_bounds
 
 __version__ = "0.1.0"
@@ -59,7 +59,6 @@ __all__ = [
     "count_single_positive_zero_block",
     "enum_classical",
     "enum_signed",
-    "TruncatedSeries",
     "egf_coefficients",
     "egf_stirling_d_column",
     "Interval",

@@ -2,7 +2,9 @@
 
 Subcommands: table, verify, enumerate, oracle-check, dobinski, egf-check.
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error
-(including a negative n, row count or order).
+(including a negative n, row count, order or --pairs), 3 internal error
+(an uncaught exception, e.g. an IntegralityError from the series; the
+traceback goes to stderr).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
 from bellpart import dobinski, partitions, series, triangles
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream partitions")
     p.add_argument("family", choices=sorted(_ENUM_FAMILIES))
     p.add_argument("n", type=_nonnegative_int)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--pairs", type=_nonnegative_int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=cmd_enumerate)
 
@@ -240,7 +243,11 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

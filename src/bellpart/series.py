@@ -1,175 +1,93 @@
-"""Truncated formal power series over exact rationals, and the exponential
-generating functions of the three Bell families.
+"""Exponential generating functions of the three Bell families, in integers.
 
-A series of order N is known modulo x^(N+1) and stores coefficients
-c_0..c_N as ``Fraction``.  All generating functions are built from the
-rational-coefficient factorizations
+A series truncated at order N is the list [a_0, ..., a_N] of its EGF
+coefficients a_n = n! * [x^n].  Every series built here has integer EGF
+coefficients, so no rationals are needed: the product of two series is the
+binomial convolution
+
+    c_n = sum_(i=0..n) C(n, i) a_i b_(n-i),
+
+and exp(f) for f_0 = 0 follows from g' = f'g as
+
+    g_0 = 1,  g_m = sum_(j=1..m) C(m-1, j-1) f_j g_(m-j).
+
+The generating functions are
 
     A(x) = exp(e^x - 1)
     B(x) = exp((e^(2x) - 1)/2 + x)
     D(x) = exp((e^(2x) - 1)/2) * (e^x - x)
 
-so every coefficient stays an exact rational (no e^(-1/2) constant).
+built from the integer sequences e^x - 1 = [0, 1, 1, ...],
+(e^(2x) - 1)/2 = [0, 1, 2, 4, ...] and e^x - x = [1, 0, 1, 1, ...].
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from math import comb
 
 from bellpart.triangles import Family
 
 
 class IntegralityError(RuntimeError):
-    """n! * c_n was expected to be an integer but is not (a series bug)."""
+    """An EGF coefficient expected to divide exactly did not (a series bug)."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    order: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coeffs length must be order + 1")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Union[int, Fraction]], order: int) -> "TruncatedSeries":
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(order, tuple(cs))
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([1], order)
-
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([0, 1], order)
-
-    @classmethod
-    def exp_x(cls, order: int) -> "TruncatedSeries":
-        return cls(order, tuple(Fraction(1, math.factorial(n)) for n in range(order + 1)))
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} != {other.order}")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, tuple(-a for a in self.coeffs))
-
-    def scale(self, c: Union[int, Fraction]) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(self.order, tuple(c * a for a in self.coeffs))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, tuple(out))
-
-    def pow(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def scale_arg(self, m: int) -> "TruncatedSeries":
-        """Substitute x -> m*x, i.e. c_n -> m^n c_n."""
-        return TruncatedSeries(
-            self.order, tuple(Fraction(m) ** n * c for n, c in enumerate(self.coeffs))
-        )
-
-    def exp(self) -> "TruncatedSeries":
-        """Formal exp, via g' = f' g; requires zero constant term."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires a zero constant term")
-        n = self.order
-        g = [Fraction(1)] + [Fraction(0)] * n
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, m + 1):
-                fj = self.coeffs[j]
-                if fj != 0:
-                    acc += j * fj * g[m - j]
-            g[m] = acc / m
-        return TruncatedSeries(n, tuple(g))
-
-    def egf_values(self) -> list[Fraction]:
-        """n! * c_n for every n (not necessarily integers)."""
-        return [math.factorial(n) * c for n, c in enumerate(self.coeffs)]
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two series of the same order."""
+    return [sum(comb(n, i) * a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
 
 
-def _integer_egf_values(series: TruncatedSeries, label: str) -> list[int]:
+def _exp(f: list[int]) -> list[int]:
+    """exp(f) for a series with f_0 = 0."""
+    if f[0] != 0:
+        raise ValueError("exp requires a zero constant term")
+    g = [1]
+    for m in range(1, len(f)):
+        g.append(sum(comb(m - 1, j - 1) * f[j] * g[m - j] for j in range(1, m + 1)))
+    return g
+
+
+def _divide_exactly(a: list[int], d: int, label: str) -> list[int]:
+    """a / d coefficientwise; a remainder means a series bug."""
     out = []
-    for n, v in enumerate(series.egf_values()):
-        if v.denominator != 1:
-            raise IntegralityError(f"{label}: n! * c_n not an integer at n={n} ({v})")
-        out.append(v.numerator)
+    for n, c in enumerate(a):
+        q, r = divmod(c, d)
+        if r:
+            raise IntegralityError(f"{label}: coefficient {c} at n={n} not divisible by {d}")
+        out.append(q)
     return out
 
 
-def _half_exp_part(order: int) -> TruncatedSeries:
-    """exp((e^(2x) - 1) / 2)."""
-    e2x = TruncatedSeries.exp_x(order).scale_arg(2)
-    return (e2x - TruncatedSeries.one(order)).scale(Fraction(1, 2)).exp()
+def _half_exp_2x_minus_1(order: int) -> list[int]:
+    """(e^(2x) - 1)/2, whose EGF coefficients are 2^(n-1) for n >= 1."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return [0] + [1 << (n - 1) for n in range(1, order + 1)]
 
 
-def bell_egf(family: Family, order: int) -> TruncatedSeries:
-    ex = TruncatedSeries.exp_x(order)
-    one = TruncatedSeries.one(order)
-    x = TruncatedSeries.x(order)
-    if family is Family.CLASSICAL:
-        return (ex - one).exp()
-    if family is Family.TYPE_B:
-        e2x = ex.scale_arg(2)
-        return ((e2x - one).scale(Fraction(1, 2)) + x).exp()
-    return _half_exp_part(order) * (ex - x)
+def _exp_minus_x(order: int) -> list[int]:
+    """e^x - x."""
+    return ([1, 0] + [1] * order)[: order + 1]
 
 
 def egf_coefficients(family: Family, order: int) -> list[int]:
     """n! * [x^n] of the family's Bell EGF for n = 0..order."""
-    return _integer_egf_values(bell_egf(family, order), f"bell egf {family.value}")
+    half = _half_exp_2x_minus_1(order)  # also rejects order < 0
+    if family is Family.CLASSICAL:
+        return _exp([0] + [1] * order)
+    if family is Family.TYPE_B:
+        # adding x raises entry 1 from 1 to 2
+        return _exp([h + (n == 1) for n, h in enumerate(half)])
+    return _mul(_exp(half), _exp_minus_x(order))
 
 
 def egf_stirling_d_column(k: int, order: int) -> list[int]:
-    """n! * [x^n] of (1/(2^k k!)) (e^x - x)(e^(2x) - 1)^k; equals S_D(n,k)."""
+    """n! * [x^n] of (e^x - x) ((e^(2x) - 1)/2)^k / k!; equals S_D(n,k)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ex = TruncatedSeries.exp_x(order)
-    one = TruncatedSeries.one(order)
-    x = TruncatedSeries.x(order)
-    e2x = ex.scale_arg(2)
-    series = ((ex - x) * (e2x - one).pow(k)).scale(
-        Fraction(1, (1 << k) * math.factorial(k))
-    )
-    return _integer_egf_values(series, f"stirling-d column k={k}")
+    half = _half_exp_2x_minus_1(order)  # also rejects order < 0
+    # P_j = half^j / j!, one exact division per step
+    power = [1] + [0] * order
+    for j in range(1, k + 1):
+        power = _divide_exactly(_mul(power, half), j, f"stirling-d column k={k}")
+    return _mul(_exp_minus_x(order), power)

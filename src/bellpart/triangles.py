@@ -188,6 +188,7 @@ class Triangle:
 
     @classmethod
     def build(cls, family: Family, max_row: int) -> "Triangle":
+        _check_row(max_row)
         rows = tuple(tuple(stirling_row(family, r)) for r in range(max_row + 1))
         return cls(family, max_row, rows)
 
@@ -302,6 +303,7 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")
+    _check_row(n_max)
     identity = _IDENTITIES[identity_id]
 
     failure: Optional[tuple[int, Optional[int], int, int]] = None

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bellpart import triangles
+from bellpart import series, triangles
 from bellpart.cli import main
 from bellpart.triangles import Family, stirling, stirling_b
 
@@ -116,6 +116,13 @@ def test_enumerate_pairs_beyond_n(capsys):
     assert out == "count 0\n"
 
 
+def test_enumerate_negative_pairs_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "b", "3", "--pairs", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_enumerate_json_records(capsys):
     code, out = run(capsys, "enumerate", "d", "2", "--format", "json")
     assert code == 0
@@ -222,6 +229,56 @@ def test_egf_check(capsys):
 def test_egf_check_order0(capsys):
     code, out = run(capsys, "egf-check", "0")
     assert code == 0
+
+
+def test_egf_check_bell_mismatch(capsys, monkeypatch):
+    real = series.egf_coefficients
+
+    def wrong_d(family, order):
+        values = real(family, order)
+        if family is Family.TYPE_D:
+            values[-1] += 1
+        return values
+
+    monkeypatch.setattr(series, "egf_coefficients", wrong_d)
+    code, out = run(capsys, "egf-check", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "bell-classical: 1,1,2,5 OK",
+        "bell-b: 1,2,6,24 OK",
+        "bell-d: 1,1,4,16 MISMATCH",
+        "egf-check: FAIL",
+    ]
+
+
+def test_egf_check_column_mismatch(capsys, monkeypatch):
+    real = series.egf_stirling_d_column
+
+    def wrong_column(k, order):
+        values = real(k, order)
+        if k == 2:
+            values[3] += 1
+        return values
+
+    monkeypatch.setattr(series, "egf_stirling_d_column", wrong_column)
+    code, out = run(capsys, "egf-check", "3")
+    assert code == 1
+    assert out.splitlines()[3:] == [
+        "stirling-d column k=2: MISMATCH",
+        "column sum mismatch at n=3",
+        "egf-check: FAIL",
+    ]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(family, order):
+        raise series.IntegralityError("bell egf: not an integer")
+
+    monkeypatch.setattr(series, "egf_coefficients", broken)
+    assert main(["egf-check", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "IntegralityError: bell egf: not an integer" in captured.err
 
 
 @pytest.mark.parametrize(

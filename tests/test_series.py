@@ -1,6 +1,4 @@
-"""Truncated series arithmetic and generating-function coefficient checks."""
-
-from fractions import Fraction
+"""Integer EGF arithmetic and generating-function coefficient checks."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,87 +6,67 @@ from hypothesis import strategies as st
 
 from bellpart.series import (
     IntegralityError,
-    TruncatedSeries,
-    bell_egf,
+    _divide_exactly,
+    _exp,
+    _exp_minus_x,
+    _half_exp_2x_minus_1,
+    _mul,
     egf_coefficients,
     egf_stirling_d_column,
 )
 from bellpart.triangles import Family, bell_a, bell_b, bell_d, stirling_d
 
-F = Fraction
+EXP_X = [1, 1, 1, 1]  # e^x: every EGF coefficient is 1
 
 
 class TestArithmetic:
-    def test_add_identity(self):
-        f = TruncatedSeries.exp_x(4)
-        assert f + TruncatedSeries.zero(4) == f
-
     def test_exp_minus_x(self):
-        f = TruncatedSeries.exp_x(2) - TruncatedSeries.x(2)
-        assert f.coeffs == (F(1), F(0), F(1, 2))
-
-    def test_add_negation_is_zero(self):
-        f = TruncatedSeries.exp_x(5)
-        assert f + (-f) == TruncatedSeries.zero(5)
+        assert _exp_minus_x(0) == [1]
+        assert _exp_minus_x(1) == [1, 0]
+        assert _exp_minus_x(4) == [1, 0, 1, 1, 1]
 
     def test_mul_identity(self):
-        f = TruncatedSeries.exp_x(6)
-        assert f * TruncatedSeries.one(6) == f
+        f = [3, -1, 4, 1, 5, 9, 2]
+        assert _mul(f, [1, 0, 0, 0, 0, 0, 0]) == f
 
     def test_exp_times_exp_is_exp2x(self):
-        ex = TruncatedSeries.exp_x(3)
-        assert (ex * ex).coeffs == (F(1), F(2), F(2), F(4, 3))
-        assert ex * ex == ex.scale_arg(2)
+        assert _mul(EXP_X, EXP_X) == [1, 2, 4, 8]
 
     def test_x_squared(self):
-        x = TruncatedSeries.x(3)
-        assert (x * x).coeffs == (F(0), F(0), F(1), F(0))
+        x = [0, 1, 0, 0]
+        assert _mul(x, x) == [0, 0, 2, 0]
 
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.x(3) + TruncatedSeries.x(4)
-        with pytest.raises(ValueError):
-            TruncatedSeries.x(3) * TruncatedSeries.x(4)
-
-    def test_scale_arg(self):
-        ex = TruncatedSeries.exp_x(2)
-        assert ex.scale_arg(1) == ex
-        assert ex.scale_arg(2).coeffs == (F(1), F(2), F(2))
-        assert TruncatedSeries.x(3).scale_arg(2).coeffs == (F(0), F(2), F(0), F(0))
+    def test_half_exp_2x_minus_1(self):
+        assert _half_exp_2x_minus_1(0) == [0]
+        assert _half_exp_2x_minus_1(5) == [0, 1, 2, 4, 8, 16]
+        # twice it, plus 1, is e^x * e^x
+        doubled = [2 * h for h in _half_exp_2x_minus_1(3)]
+        doubled[0] += 1
+        assert doubled == _mul(EXP_X, EXP_X)
 
 
 class TestExp:
     def test_exp_zero(self):
-        assert TruncatedSeries.zero(4).exp() == TruncatedSeries.one(4)
+        assert _exp([0] * 5) == [1, 0, 0, 0, 0]
 
     def test_exp_x(self):
-        got = TruncatedSeries.x(3).exp()
-        assert got.coeffs == (F(1), F(1), F(1, 2), F(1, 6))
+        assert _exp([0, 1, 0, 0]) == EXP_X
 
     def test_exp_requires_zero_constant(self):
+        # the recurrence never reads f_0, so a nonzero one would be dropped
         with pytest.raises(ValueError):
-            TruncatedSeries.one(3).exp()
+            _exp([1, 0, 0, 0])
 
     def test_classical_bell_coefficient(self):
-        f = TruncatedSeries.exp_x(6) - TruncatedSeries.one(6)
-        g = f.exp()
-        assert g.coeffs[6] == F(203, 720)
+        assert _exp([0] + [1] * 6)[6] == 203
 
-    @given(
-        st.lists(
-            st.fractions(
-                max_denominator=6, min_value=F(-3), max_value=F(3)
-            ),
-            min_size=0,
-            max_size=5,
-        )
-    )
+    @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=0, max_size=5))
     @settings(max_examples=50)
     def test_exp_homomorphism(self, tail):
         order = 6
-        f = TruncatedSeries.from_coeffs([0] + tail, order)
-        product = f.exp() * (-f).exp()
-        assert product == TruncatedSeries.one(order)
+        f = ([0] + tail + [0] * order)[: order + 1]
+        product = _mul(_exp(f), _exp([-c for c in f]))
+        assert product == [1] + [0] * order
 
 
 class TestBellEgfs:
@@ -113,15 +91,18 @@ class TestBellEgfs:
             assert egf_coefficients(family, 25) == [fn(n) for n in range(26)]
 
     def test_d_decomposition(self):
-        # D series equals B series minus x * exp((e^(2x)-1)/2), coefficientwise
+        # D(x) = B(x) - x * H(x) with H = exp((e^(2x)-1)/2); in EGF
+        # coefficients D(n) = B(n) - n * H(n-1)
         order = 12
-        ex = TruncatedSeries.exp_x(order)
-        one = TruncatedSeries.one(order)
-        x = TruncatedSeries.x(order)
-        half = (ex.scale_arg(2) - one).scale(F(1, 2)).exp()
-        d = bell_egf(Family.TYPE_D, order)
-        b = bell_egf(Family.TYPE_B, order)
-        assert d == b - x * half
+        h = _exp(_half_exp_2x_minus_1(order))
+        d = egf_coefficients(Family.TYPE_D, order)
+        b = egf_coefficients(Family.TYPE_B, order)
+        assert d == [b[0]] + [b[n] - n * h[n - 1] for n in range(1, order + 1)]
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_negative_order_rejected(self, family):
+        with pytest.raises(ValueError):
+            egf_coefficients(family, -1)
 
 
 class TestStirlingDColumns:
@@ -146,10 +127,12 @@ class TestStirlingDColumns:
         with pytest.raises(ValueError):
             egf_stirling_d_column(-1, 3)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            egf_stirling_d_column(2, -1)
+
 
 def test_integrality_error_signals_bug():
-    bad = TruncatedSeries.from_coeffs([0, F(1, 3)], 1)
-    from bellpart.series import _integer_egf_values
-
+    assert _divide_exactly([0, 6, -4], 2, "ok") == [0, 3, -2]
     with pytest.raises(IntegralityError):
-        _integer_egf_values(bad, "bad")
+        _divide_exactly([0, 3], 2, "bad")

@@ -164,6 +164,11 @@ def test_triangle_build():
         assert t.row(r)[r] == 1
 
 
+def test_triangle_build_negative_max_row_raises():
+    with pytest.raises(ValueError):
+        Triangle.build(Family.TYPE_B, -1)
+
+
 def test_pure_rows_basic():
     rows = extend_weighted_rows([], WEIGHT_ODD, 3)
     assert rows == [[1], [1, 1], [1, 4, 1], [1, 13, 9, 1]]
@@ -202,6 +207,11 @@ class TestIdentities:
         report = verify_identity(ident, 30)
         assert report.status
         assert report.first_failure is None
+
+    @pytest.mark.parametrize("ident", triangles.IDENTITY_IDS)
+    def test_negative_n_max_raises(self, ident):
+        with pytest.raises(ValueError):
+            verify_identity(ident, -1)
 
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
