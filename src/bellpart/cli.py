@@ -4,13 +4,15 @@ Subcommands: table, verify, enumerate, oracle-check, dobinski, egf-check.
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error
 (including a negative n, row count, order or --pairs), 3 internal error
 (an uncaught exception, e.g. an IntegralityError from the series; the
-traceback goes to stderr).
+traceback goes to stderr), 141 stdout closed by its reader (as a shell
+reports a tool ended by SIGPIPE; nothing goes to stderr).
 Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -238,13 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # Lift Python's 4,300-digit int->str cap (hit by `table bell --rows 2000`
-    # and by Dobinski endpoints from n = 62), so that printing a large result
-    # never exits 1 like a failed check.  Python 3.10 before 3.10.7 has no cap.
+    # and by Dobinski endpoint numerators from about n = 620), so that
+    # printing a large result never fails like a failed check.  Python 3.10
+    # before 3.10.7 has no cap.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull so that the flush at
+        # interpreter exit cannot raise again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception:
         traceback.print_exc()
         return 3

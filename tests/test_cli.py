@@ -1,7 +1,10 @@
 """CLI surface: output formats, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,10 +201,13 @@ def default_int_str_cap():
 
 
 def test_dobinski_prints_past_int_str_cap(capsys, default_int_str_cap):
-    # the interval endpoints at n = 62 have more than 4,300 digits
-    code, out = run(capsys, "dobinski", "a", "62", "1/2")
+    # the numerator of the lower endpoint at n = 650 has more than 4,300 digits
+    code, out = run(capsys, "dobinski", "b", "650", "1/2")
     assert code == 0
-    assert out.splitlines()[-1] == "OK"
+    lines = out.splitlines()
+    assert lines[-1] == "OK"
+    lo = lines[0].removeprefix("lo ")
+    assert len(lines[0]) > 4300 and len(lo.split("/")[0]) > 4300
 
 
 def test_dobinski_bad_width(capsys):
@@ -217,6 +223,21 @@ def test_dobinski_negative_n_usage_error(capsys, family, n):
     with pytest.raises(SystemExit) as exc:
         main(["dobinski", family, n, "1/2"])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a reader that stops early, like `| head -c 100`, is not a crash
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "bellpart.cli", "table", "stirling-b", "--rows", "3000"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 141
+    assert stderr == b""
 
 
 def test_egf_check(capsys):

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from bellpart import dobinski
 from bellpart.dobinski import (
     Interval,
-    _term_b,
-    _term_d,
+    _num_b,
+    _num_d,
     dobinski_a,
     dobinski_b,
     dobinski_d,
@@ -23,12 +24,6 @@ class TestInterval:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             Interval(F(2), F(1))
-
-    def test_add_mul(self):
-        a = Interval(F(1), F(2))
-        b = Interval(F(3), F(5))
-        assert a + b == Interval(F(4), F(7))
-        assert a * b == Interval(F(3), F(10))
 
     def test_contains(self):
         assert Interval(F(1), F(2)).contains(F(3, 2))
@@ -100,6 +95,33 @@ class TestEnclosures:
             assert iv.contains(value)
             assert round(iv.midpoint) == value
 
+    @pytest.mark.parametrize("n", [62, 100, 200, 300])
+    @pytest.mark.parametrize(
+        "enclose,exact",
+        [(dobinski_a, bell_a), (dobinski_b, bell_b), (dobinski_d, bell_d)],
+    )
+    def test_containment_and_recovery_at_scale(self, enclose, exact, n):
+        iv = enclose(n, HALF)
+        value = exact(n)
+        assert iv.width <= HALF
+        assert iv.contains(value)
+        assert round(iv.midpoint) == value
+
+    @pytest.mark.parametrize("enclose", [dobinski_a, dobinski_b, dobinski_d])
+    def test_one_e_bracket_linear_order(self, enclose, monkeypatch):
+        # the work is polynomial in n: one e^(-c) bracket of O(n) terms
+        calls = []
+
+        def recording(v, terms):
+            calls.append(terms)
+            return exp_neg_bounds(v, terms)
+
+        monkeypatch.setattr(dobinski, "exp_neg_bounds", recording)
+        for n in (0, 10, 100, 300):
+            calls.clear()
+            enclose(n, HALF)
+            assert len(calls) == 1 and calls[0] <= n + 8, (n, calls)
+
     def test_tighter_width_honored(self):
         target = F(1, 10**6)
         iv = dobinski_d(10, target)
@@ -112,19 +134,20 @@ class TestEnclosures:
 
 
 class TestDTerms:
+    # numerators over the shared denominator 2^r r!
     def test_nonnegative(self):
         for n in range(26):
             for r in range(30):
-                assert _term_d(n, r) >= 0
+                assert _num_d(n, r) >= 0
 
     def test_dominated_by_b_terms(self):
         for n in range(15):
             for r in range(20):
-                assert _term_d(n, r) <= _term_b(n, r)
+                assert _num_d(n, r) <= _num_b(n, r)
 
     def test_n1_r0_vanishes(self):
         # 0^0 = 1 convention: (2*0+1)^1 - 1*(2*0)^0 = 0
-        assert _term_d(1, 0) == 0
+        assert _num_d(1, 0) == 0
 
 
 @pytest.mark.parametrize("enclose", [dobinski_a, dobinski_b, dobinski_d])

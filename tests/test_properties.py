@@ -61,8 +61,8 @@ def test_canonicalize_undoes_shuffle_and_sign_flip(n, data):
 
 @given(
     st.sampled_from([(dobinski_a, bell_a), (dobinski_b, bell_b), (dobinski_d, bell_d)]),
-    st.integers(0, 30),
-    st.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64),
+    st.integers(0, 120),
+    st.fractions(min_value=Fraction(1, 2**64), max_value=1, max_denominator=2**64),
 )
 @settings(max_examples=30, deadline=None)
 def test_dobinski_contains_exact_value(fns, n, width):
