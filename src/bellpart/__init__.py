@@ -5,12 +5,10 @@ and rigorous interval evaluation of the explicit formulas."""
 from bellpart.triangles import (
     Family,
     IdentityReport,
-    Triangle,
     bell,
     bell_a,
     bell_b,
     bell_d,
-    binomial,
     stirling,
     stirling2,
     stirling_b,
@@ -39,12 +37,10 @@ KERNEL_IMPL = "python"
 __all__ = [
     "Family",
     "IdentityReport",
-    "Triangle",
     "bell",
     "bell_a",
     "bell_b",
     "bell_d",
-    "binomial",
     "stirling",
     "stirling2",
     "stirling_b",

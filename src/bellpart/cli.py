@@ -12,6 +12,7 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import traceback
@@ -48,20 +49,14 @@ def cmd_table(args) -> int:
     for n in range(args.rows + 1):
         if is_triangle:
             cells = triangles.stirling_row(family, n)
-            if args.format == "json":
-                import json
-
-                print(json.dumps({"n": n, "cells": cells}, separators=(",", ":")))
-            else:
-                print(sep.join(str(c) for c in cells))
+            record, fields = {"n": n, "cells": cells}, cells
         else:
             value = triangles.bell(family, n)
-            if args.format == "json":
-                import json
-
-                print(json.dumps({"n": n, "value": value}, separators=(",", ":")))
-            else:
-                print(f"{n}{sep}{value}")
+            record, fields = {"n": n, "value": value}, (n, value)
+        if args.format == "json":
+            print(json.dumps(record, separators=(",", ":")))
+        else:
+            print(sep.join(str(f) for f in fields))
     return 0
 
 

@@ -113,17 +113,24 @@ def enum_classical(n: int) -> Iterator[ClassicalSetPartition]:
         yield ClassicalSetPartition(n, blocks)
 
 
-def _subsets_lex(n: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of [n] as sorted tuples, in lexicographic tuple order."""
-    all_subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
-    )
-    return iter(sorted(all_subsets))
-
-
 def is_type_d(zero_support: Sequence[int]) -> bool:
     """A signed partition with this zero support is of type D (not just B)."""
     return len(zero_support) != 1
+
+
+def _walk(n: int, family: Family) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """Each zero support of <n> in lexicographic order, with each unsigned
+    partition of the rest of [n] in RGS order: the walk of ``enum_signed``.
+    TYPE_D skips the zero supports of exactly one element."""
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
+    )
+    for zero_support in sorted(subsets):
+        if family is Family.TYPE_D and not is_type_d(zero_support):
+            continue
+        rest = [i for i in range(1, n + 1) if i not in zero_support]
+        for blocks in _rgs_blocks(rest):
+            yield zero_support, blocks
 
 
 def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
@@ -138,23 +145,15 @@ def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
         raise ValueError("n must be >= 0")
     if family is Family.CLASSICAL:
         raise ValueError("use enum_classical for the classical family")
-    type_d = family is Family.TYPE_D
-    ground = set(range(1, n + 1))
-    for zero_support in _subsets_lex(n):
-        if type_d and not is_type_d(zero_support):
-            continue
-        rest = sorted(ground - set(zero_support))
-        for blocks in _rgs_blocks(rest):
-            # the minimum of each block stays positive; every other
-            # element independently takes either sign
-            slots = [(bi, j) for bi, blk in enumerate(blocks) for j in range(1, len(blk))]
-            for signs in itertools.product((1, -1), repeat=len(slots)):
-                pairs = [list(blk) for blk in blocks]
-                for (bi, j), s in zip(slots, signs):
-                    pairs[bi][j] *= s
-                yield SignedSetPartition(
-                    n, zero_support, tuple(tuple(p) for p in pairs)
-                )
+    for zero_support, blocks in _walk(n, family):
+        # the minimum of each block stays positive; every other
+        # element independently takes either sign
+        slots = [(bi, j) for bi, blk in enumerate(blocks) for j in range(1, len(blk))]
+        for signs in itertools.product((1, -1), repeat=len(slots)):
+            pairs = [list(blk) for blk in blocks]
+            for (bi, j), s in zip(slots, signs):
+                pairs[bi][j] *= s
+            yield SignedSetPartition(n, zero_support, tuple(tuple(p) for p in pairs))
 
 
 def classify(p: SignedSetPartition) -> Family:
@@ -245,23 +244,19 @@ def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:
         raise ValueError("n must be >= 0")
     classical, type_b, type_d = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     defect = 0
-    ground = set(range(1, n + 1))
-    for zero_support in _subsets_lex(n):
-        rest = sorted(ground - set(zero_support))
-        in_d = is_type_d(zero_support)
-        for blocks in _rgs_blocks(rest):
-            k = len(blocks)
-            if not zero_support:
-                classical[k] += 1
-            # bit j of the sign vector is the sign of the j-th non-minimum
-            # element; every vector is one partition
-            visited = 0
-            for _signs in range(1 << (len(rest) - k)):
-                visited += 1
-            type_b[k] += visited
-            if in_d:
-                type_d[k] += visited
-            else:
-                defect += visited
+    for zero_support, blocks in _walk(n, Family.TYPE_B):
+        k = len(blocks)
+        if not zero_support:
+            classical[k] += 1
+        # bit j of the sign vector is the sign of the j-th non-minimum
+        # element; every vector is one partition
+        visited = 0
+        for _signs in range(1 << (n - len(zero_support) - k)):
+            visited += 1
+        type_b[k] += visited
+        if is_type_d(zero_support):
+            type_d[k] += visited
+        else:
+            defect += visited
     counts = {Family.CLASSICAL: classical, Family.TYPE_B: type_b, Family.TYPE_D: type_d}
     return counts, defect

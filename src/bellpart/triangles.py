@@ -18,10 +18,10 @@ numbers exist for n >= 0 only; a negative n raises ValueError.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache, cached_property
 from typing import Callable, NamedTuple, Optional
 
 
@@ -82,13 +82,6 @@ def _b_rows(n: int) -> list[list[int]]:
         with _lock:
             extend_weighted_rows(_rows_b, WEIGHT_ODD, n)
     return _rows_b
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); 0 outside the triangle."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -178,27 +171,6 @@ def bell(family: Family, n: int) -> int:
     return _BELL_FN[family](n)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Lower-triangular table of one Stirling family, rows 0..max_row."""
-
-    family: Family
-    max_row: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, family: Family, max_row: int) -> "Triangle":
-        _check_row(max_row)
-        rows = tuple(tuple(stirling_row(family, r)) for r in range(max_row + 1))
-        return cls(family, max_row, rows)
-
-    def row(self, r: int) -> list[int]:
-        return list(self.rows[r])
-
-    def row_sum(self, r: int) -> int:
-        return sum(self.row(r))
-
-
 # ---------------------------------------------------------------------------
 # Identity verification
 
@@ -214,16 +186,79 @@ class IdentityReport:
     values: Optional[tuple[tuple[int, int], ...]] = None
 
 
-def _weighted_classical_sum(n: int) -> int:
-    """sum_k 2^(n-k) S(n,k)."""
-    return sum((1 << (n - k)) * s for k, s in enumerate(_classical_rows(n)[n]))
+class _Tables:
+    """What the identities read for n <= n_max, each piece built once per call.
+
+    The classical and B rows are the caches themselves, not copies, and a D
+    row is built by ``_d_row`` where it is read.  Every other table is built
+    on first use, so a check builds only what it reads.
+    """
+
+    def __init__(self, n_max: int):
+        _check_row(n_max)
+        self.n_max = n_max
+        self.classical = _classical_rows(n_max)
+        self.b = _b_rows(n_max)
+        # W is kept value by value, so that the defect at n costs one row
+        self.w = cache(self._weighted_sum)
+
+    @cached_property
+    def pascal(self) -> list[list[int]]:
+        """Rows of C(n, i), each from the one before by the Pascal step."""
+        rows = [[1]]
+        while len(rows) <= self.n_max:
+            rows.append([1, *(a + b for a, b in zip(rows[-1], rows[-1][1:])), 1])
+        return rows
+
+    @cached_property
+    def bell_b(self) -> list[int]:
+        return [sum(self.b[n]) for n in range(self.n_max + 1)]
+
+    @cached_property
+    def bell_d(self) -> list[int]:
+        return [sum(_d_row(n)) for n in range(self.n_max + 1)]
+
+    def _weighted_sum(self, m: int) -> int:
+        """W(m) = sum_k 2^(m-k) S(m,k)."""
+        return sum(s << (m - k) for k, s in enumerate(self.classical[m]))
+
+    def b_binomial_sum(self, n: int) -> int:
+        """sum_k 2^k C(n,k) B(n-k)."""
+        return sum((c * self.bell_b[n - k]) << k for k, c in enumerate(self.pascal[n]))
+
+    def unsigned_groups(self, n: int) -> list[int]:
+        """C(n,i) W(n-i) for i = 1..n."""
+        return [c * self.w(n - i) for i, c in enumerate(self.pascal[n][1:], 1)]
+
+    def d_groups(self, n: int) -> tuple[list[int], list[int]]:
+        """The unsigned groups and the groups 2^k C(n,k) D(n-k), k = 0..n."""
+        bells = [(c * self.bell_d[n - k]) << k for k, c in enumerate(self.pascal[n])]
+        return self.unsigned_groups(n), bells
+
+    def defect(self, n: int) -> int:
+        """n W(n-1), the closed form of B(n) - D(n) for n >= 1."""
+        return n * self.w(n - 1)
+
+    def b_from_classical(self, n: int) -> list[int]:
+        """sum_i 2^(i-k) C(n,i) S(i,k) for k = 0..n."""
+        pascal, classical = self.pascal[n], self.classical
+        return [
+            sum((pascal[i] * classical[i][k]) << (i - k) for i in range(k, n + 1))
+            for k in range(n + 1)
+        ]
+
+    def d_from_b(self, n: int) -> list[int]:
+        """S_B(n,k) - n 2^(n-1-k) S(n-1,k) for k < n, then S_B(n,n)."""
+        prev = self.classical[n - 1] if n else []
+        rhs = [b - ((n * s) << (n - 1 - k)) for k, (b, s) in enumerate(zip(self.b[n], prev))]
+        return rhs + [self.b[n][n]]
 
 
 def single_positive_zero_block_formula(n: int) -> int:
     """Closed formula n * sum_k 2^(n-1-k) S(n-1,k) for n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n * _weighted_classical_sum(n - 1)
+    return _Tables(n).defect(n)
 
 
 def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
@@ -233,34 +268,12 @@ def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
     unsigned_groups[i-1] = C(n,i) * sum_k 2^(n-i-k) S(n-i,k) for i = 1..n and
     bell_groups[k]       = 2^k C(n,k) D(n-k)                 for k = 0..n.
     """
-    unsigned = [binomial(n, i) * _weighted_classical_sum(n - i) for i in range(1, n + 1)]
-    bells = [(1 << k) * binomial(n, k) * bell_d(n - k) for k in range(n + 1)]
-    return unsigned, bells
-
-
-def _b_binomial_sum(n: int) -> int:
-    """sum_k 2^k C(n,k) B(n-k)."""
-    return sum((1 << k) * binomial(n, k) * bell_b(n - k) for k in range(n + 1))
-
-
-def _b_from_classical(n: int) -> tuple[list[int], list[int]]:
-    classical = _classical_rows(n)
-    rhs = [
-        sum((1 << (i - k)) * binomial(n, i) * classical[i][k] for i in range(k, n + 1))
-        for k in range(n + 1)
-    ]
-    return stirling_row(Family.TYPE_B, n), rhs
-
-
-def _d_from_b(n: int) -> tuple[list[int], list[int]]:
-    b_row = stirling_row(Family.TYPE_B, n)
-    prev = stirling_row(Family.CLASSICAL, n - 1) if n else []
-    rhs = [b - n * (1 << (n - 1 - k)) * s for k, (b, s) in enumerate(zip(b_row, prev))]
-    return stirling_row(Family.TYPE_D, n), rhs + [b_row[n]]
+    return _Tables(n).d_groups(n)
 
 
 class _Identity(NamedTuple):
-    sides: Callable[[int], tuple]  # n -> (lhs, rhs): whole rows if ``rows``, else ints
+    # (n, tables) -> (lhs, rhs): whole rows if ``rows``, else ints
+    sides: Callable[[int, _Tables], tuple]
     rows: bool = False
     first_n: int = 0
     # A recurrence for n + 1 is checked for n < n_max; it reports its
@@ -269,27 +282,24 @@ class _Identity(NamedTuple):
 
 
 _IDENTITIES = {
-    "B_FROM_CLASSICAL": _Identity(_b_from_classical, rows=True),
-    "D_FROM_B": _Identity(_d_from_b, rows=True),
-    "B_BELL_REC": _Identity(lambda n: (bell_b(n + 1), bell_b(n) + _b_binomial_sum(n)), shift=1),
+    "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n)), rows=True),
+    "D_FROM_B": _Identity(lambda n, t: (_d_row(n), t.d_from_b(n)), rows=True),
+    "B_BELL_REC": _Identity(
+        lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.b_binomial_sum(n)), shift=1
+    ),
     "ODD_WEIGHT_SUM": _Identity(
-        lambda n: (
-            sum((2 * k + 1) * s for k, s in enumerate(stirling_row(Family.TYPE_B, n))),
-            _b_binomial_sum(n),
+        lambda n, t: (
+            sum((2 * k + 1) * s for k, s in enumerate(t.b[n])),
+            t.b_binomial_sum(n),
         )
     ),
     "D_BELL_REC": _Identity(
-        lambda n: (bell_d(n + 1), sum(map(sum, d_recurrence_terms(n)))), shift=1
+        lambda n, t: (t.bell_d[n + 1], sum(map(sum, t.d_groups(n)))), shift=1
     ),
     "ZERO_BLOCK_DEFECT": _Identity(
-        lambda n: (bell_b(n) - bell_d(n), single_positive_zero_block_formula(n)), first_n=1
+        lambda n, t: (t.bell_b[n] - t.bell_d[n], t.defect(n)), first_n=1
     ),
-    "THM_4_7": _Identity(
-        lambda n: (
-            sum(binomial(n, i) * _weighted_classical_sum(n - i) for i in range(1, n + 1)),
-            bell_b(n) - _weighted_classical_sum(n),
-        )
-    ),
+    "THM_4_7": _Identity(lambda n, t: (sum(t.unsigned_groups(n)), t.bell_b[n] - t.w(n))),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
@@ -299,17 +309,19 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     """Check one identity exactly for every n (and k where applicable) up to n_max.
 
     Both sides are counts, so a left side that differs from the right side
-    or is negative fails.
+    or is negative fails.  Each side reads tables built once for the call:
+    the cached classical and B rows, the Pascal rows and the sequences
+    B(n), D(n) and W(m) = sum_k 2^(m-k) S(m,k).
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")
-    _check_row(n_max)
+    tables = _Tables(n_max)
     identity = _IDENTITIES[identity_id]
 
     failure: Optional[tuple[int, Optional[int], int, int]] = None
     values: list[tuple[int, int]] = []
     for n in range(identity.first_n, n_max + 1 - identity.shift):
-        lhs, rhs = identity.sides(n)
+        lhs, rhs = identity.sides(n, tables)
         if identity.rows:
             failure = next(
                 ((n, k, l, r) for k, (l, r) in enumerate(zip(lhs, rhs)) if l != r or l < 0),

@@ -1,5 +1,7 @@
 """Recurrence values against the published tables, plus identity suites."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +11,9 @@ from bellpart.triangles import (
     WEIGHT_CLASSICAL,
     WEIGHT_ODD,
     Family,
-    Triangle,
     bell_a,
     bell_b,
     bell_d,
-    binomial,
     d_recurrence_terms,
     bell,
     extend_weighted_rows,
@@ -59,18 +59,6 @@ TABLE_D = [
 BELL_A = [1, 1, 2, 5, 15, 52, 203, 877]
 BELL_B = [1, 2, 6, 24, 116, 648, 4088, 28640]
 BELL_D = [1, 1, 4, 15, 72, 403, 2546, 17867]
-
-
-def test_binomial():
-    assert binomial(5, 0) == 1
-    assert binomial(0, 3) == 0
-    assert binomial(4, 2) == 6
-    assert binomial(3, -1) == 0
-
-
-@given(st.integers(1, 60), st.integers(0, 60))
-def test_binomial_pascal(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 @pytest.mark.parametrize(
@@ -152,21 +140,21 @@ def test_bell_d_monotone():
 
 def test_bell_a_alt_recurrence():
     for n in range(20):
-        assert bell_a(n + 1) == sum(binomial(n, k) * bell_a(k) for k in range(n + 1))
+        assert bell_a(n + 1) == sum(math.comb(n, k) * bell_a(k) for k in range(n + 1))
 
 
 def test_triangle_build():
-    t = Triangle.build(Family.TYPE_D, 7)
-    assert t.row(4) == TABLE_D[4]
-    assert t.row_sum(7) == 17867
-    assert t.row(0) == [1]
+    rows = [stirling_row(Family.TYPE_D, r) for r in range(8)]
+    assert rows[4] == TABLE_D[4]
+    assert sum(rows[7]) == 17867
+    assert rows[0] == [1]
     for r in range(8):
-        assert t.row(r)[r] == 1
+        assert rows[r][r] == 1
 
 
 def test_triangle_build_negative_max_row_raises():
     with pytest.raises(ValueError):
-        Triangle.build(Family.TYPE_B, -1)
+        stirling_row(Family.TYPE_B, -1)
 
 
 def test_pure_rows_basic():
@@ -213,6 +201,14 @@ class TestIdentities:
         with pytest.raises(ValueError):
             verify_identity(ident, -1)
 
+    def test_pass_at_150(self):
+        n_max = 150
+        reports = {ident: verify_identity(ident, n_max) for ident in triangles.IDENTITY_IDS}
+        assert all(report.status for report in reports.values())
+        for ident, family in (("B_BELL_REC", Family.TYPE_B), ("D_BELL_REC", Family.TYPE_D)):
+            row_sums = tuple((n, sum(stirling_row(family, n))) for n in range(1, n_max + 1))
+            assert reports[ident].values == row_sums
+
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             verify_identity("NO_SUCH_IDENTITY", 5)
@@ -254,12 +250,16 @@ class TestDRecurrenceTerms:
         assert bells == [72, 120, 96, 32, 16]
         assert sum(unsigned) + sum(bells) == 403 == bell_d(5)
 
+    def test_negative_n_raises(self):
+        with pytest.raises(ValueError):
+            d_recurrence_terms(-1)
+
 
 @given(st.integers(0, 25), st.integers(0, 25))
 @settings(max_examples=60)
 def test_b_from_classical_pointwise(n, k):
     assert stirling_b(n, k) == sum(
-        (1 << (i - k)) * binomial(n, i) * stirling2(i, k) for i in range(k, n + 1)
+        (1 << (i - k)) * math.comb(n, i) * stirling2(i, k) for i in range(k, n + 1)
     )
 
 
@@ -287,3 +287,18 @@ class TestIdentityFailures:
         assert not report.status
         assert report.first_failure == (2, None, 25, 24)
         assert report.values == ((1, 2), (2, 6), (3, 24))
+
+
+def test_wrong_classical_cell(monkeypatch):
+    # S(4,2) read as 8, not 7; rows are built past n_max first, as above
+    rows = extend_weighted_rows([], WEIGHT_CLASSICAL, 8)
+    rows[4][2] = 8
+    monkeypatch.setattr(triangles, "_rows_classical", rows)
+    assert verify_identity("B_FROM_CLASSICAL", 6).first_failure == (4, 2, 58, 62)
+    # W(4) = sum_k 2^(4-k) S(4,k) reads 53, not 49: rhs B(4) - W(4) = 116 - 53
+    assert verify_identity("THM_4_7", 6).first_failure == (4, None, 67, 63)
+    # D(5) is built from classical row 4 by the defect formula itself, so
+    # both sides move alike; only the enumeration oracle sees this cell
+    report = verify_identity("ZERO_BLOCK_DEFECT", 6)
+    assert report.status and report.first_failure is None
+    assert dict(report.values)[5] == 5 * 53
