@@ -17,6 +17,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
+from itertools import islice
 
 from bellpart import dobinski, partitions, series, triangles
 from bellpart.triangles import Family
@@ -46,12 +47,11 @@ _DOBINSKI_FN = {
 def cmd_table(args) -> int:
     family, is_triangle = _TABLE_FAMILIES[args.family]
     sep = "\t" if args.format == "tsv" else " "
-    for n in range(args.rows + 1):
+    for n, row in zip(range(args.rows + 1), triangles.rows(family)):
         if is_triangle:
-            cells = triangles.stirling_row(family, n)
-            record, fields = {"n": n, "cells": cells}, cells
+            record, fields = {"n": n, "cells": row}, row
         else:
-            value = triangles.bell(family, n)
+            value = sum(row)
             record, fields = {"n": n, "value": value}, (n, value)
         if args.format == "json":
             print(json.dumps(record, separators=(",", ":")))
@@ -98,25 +98,21 @@ def cmd_enumerate(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     ok = True
-    for n in range(args.n_max + 1):
+    walks = zip(*(triangles.rows(family) for family in Family))
+    for n, expected_rows in zip(range(args.n_max + 1), walks):
         n_ok = True
         counts_by_family, defect = partitions.count_one_pass(n)
-        for family in Family:
+        for family, expected in zip(Family, expected_rows):
             counts = counts_by_family[family]
-            expected = triangles.stirling_row(family, n)
             if counts != expected:
                 n_ok = False
                 print(f"n={n} family={family.value}: MISMATCH {counts} != {expected}")
-        if n >= 1:
-            expected_defect = triangles.bell_b(n) - triangles.bell_d(n)
-            if defect != expected_defect:
-                n_ok = False
-                print(f"n={n} defect: MISMATCH {defect} != {expected_defect}")
+        bell_a, bell_b, bell_d = map(sum, expected_rows)
+        if n >= 1 and defect != bell_b - bell_d:
+            n_ok = False
+            print(f"n={n} defect: MISMATCH {defect} != {bell_b - bell_d}")
         if n_ok:
-            print(
-                f"n={n} ok: A={triangles.bell_a(n)} B={triangles.bell_b(n)} "
-                f"D={triangles.bell_d(n)}"
-            )
+            print(f"n={n} ok: A={bell_a} B={bell_b} D={bell_d}")
         ok = ok and n_ok
     print("oracle-check: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
@@ -139,14 +135,11 @@ def cmd_dobinski(args) -> int:
 
 def cmd_egf_check(args) -> int:
     ok = True
-    for family, bell_fn in (
-        (Family.CLASSICAL, triangles.bell_a),
-        (Family.TYPE_B, triangles.bell_b),
-        (Family.TYPE_D, triangles.bell_d),
-    ):
+    bells = {}
+    for family in Family:
         values = series.egf_coefficients(family, args.order)
-        expected = [bell_fn(n) for n in range(args.order + 1)]
-        status = values == expected
+        bells[family] = [sum(row) for row in islice(triangles.rows(family), args.order + 1)]
+        status = values == bells[family]
         ok = ok and status
         print(
             f"bell-{family.value}: {','.join(str(v) for v in values)} "
@@ -154,16 +147,16 @@ def cmd_egf_check(args) -> int:
         )
     k_max = min(args.order, 10)
     columns = [series.egf_stirling_d_column(k, args.order) for k in range(k_max + 1)]
-    d_rows = [triangles.stirling_row(Family.TYPE_D, n) for n in range(args.order + 1)]
+    d_heads = [row[: k_max + 1] for row in islice(triangles.rows(Family.TYPE_D), args.order + 1)]
     for k, col in enumerate(columns):
-        expected = [row[k] if k < len(row) else 0 for row in d_rows]
+        expected = [row[k] if k < len(row) else 0 for row in d_heads]
         if col != expected:
             ok = False
             print(f"stirling-d column k={k}: MISMATCH")
     if k_max == args.order:
         for n in range(args.order + 1):
             total = sum(columns[k][n] for k in range(min(n, k_max) + 1))
-            if total != triangles.bell_d(n):
+            if total != bells[Family.TYPE_D][n]:
                 ok = False
                 print(f"column sum mismatch at n={n}")
     print("egf-check: " + ("PASS" if ok else "FAIL"))

@@ -148,12 +148,12 @@ def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
     for zero_support, blocks in _walk(n, family):
         # the minimum of each block stays positive; every other
         # element independently takes either sign
-        slots = [(bi, j) for bi, blk in enumerate(blocks) for j in range(1, len(blk))]
-        for signs in itertools.product((1, -1), repeat=len(slots)):
-            pairs = [list(blk) for blk in blocks]
-            for (bi, j), s in zip(slots, signs):
-                pairs[bi][j] *= s
-            yield SignedSetPartition(n, zero_support, tuple(tuple(p) for p in pairs))
+        variants = [
+            [(blk[0], *signed) for signed in itertools.product(*((x, -x) for x in blk[1:]))]
+            for blk in blocks
+        ]
+        for pairs in itertools.product(*variants):
+            yield SignedSetPartition(n, zero_support, pairs)
 
 
 def classify(p: SignedSetPartition) -> Family:

@@ -12,7 +12,8 @@ Number families:
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
-``stirling_row(family, n)`` serves a whole row at once.  Rows and Bell
+``stirling_row(family, n)`` serves a whole row from the caches, and
+``rows(family)`` walks rows 0, 1, 2, ... without them.  Rows and Bell
 numbers exist for n >= 0 only; a negative n raises ValueError.
 """
 
@@ -22,7 +23,8 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from typing import Callable, NamedTuple, Optional
+from itertools import chain, count, islice
+from typing import Callable, Iterator, NamedTuple, Optional
 
 
 class Family(Enum):
@@ -35,76 +37,60 @@ class Family(Enum):
 WEIGHT_CLASSICAL = 0
 WEIGHT_ODD = 1
 
+_KIND = {Family.CLASSICAL: WEIGHT_CLASSICAL, Family.TYPE_B: WEIGHT_ODD}
+
+
+def _weighted_walk(kind: int, row: list[int]) -> Iterator[list[int]]:
+    """The rows after ``row``, row n by ``T(n,k) = T(n-1,k-1) + w(k) T(n-1,k)``
+    with 0 outside row n - 1, and w(k) = k for ``WEIGHT_CLASSICAL`` or
+    2k + 1 for ``WEIGHT_ODD`` (type B)."""
+    while True:
+        n = len(row)
+        weights = range(n + 1) if kind == WEIGHT_CLASSICAL else range(1, 2 * n + 2, 2)
+        row = [a + w * b for a, w, b in zip([0, *row], weights, [*row, 0])]
+        yield row
+
 
 def extend_weighted_rows(rows: list[list[int]], kind: int, n_max: int) -> list[list[int]]:
-    """Extend ``rows`` in place until it holds rows 0..n_max.
-
-    Row n is a list of n + 1 ints, built from row n - 1 by the weighted
-    recurrence ``T(n, k) = T(n-1, k-1) + w(k) T(n-1, k)`` with w(k) = k for
-    ``WEIGHT_CLASSICAL`` and w(k) = 2k + 1 for ``WEIGHT_ODD`` (type B).
-    ``rows`` must either be empty or hold a valid prefix of the triangle.
-    """
+    """Extend ``rows`` (empty or a valid prefix) from ``_weighted_walk`` to rows 0..n_max."""
     if not rows:
         rows.append([1])
-    while len(rows) <= n_max:
-        n = len(rows)
-        prev = rows[n - 1]
-        row = [0] * (n + 1)
-        if kind == WEIGHT_CLASSICAL:
-            row[0] = 0
-            for k in range(1, n):
-                row[k] = prev[k - 1] + k * prev[k]
-        else:
-            row[0] = prev[0]
-            for k in range(1, n):
-                row[k] = prev[k - 1] + (2 * k + 1) * prev[k]
-        row[n] = 1
-        rows.append(row)
+    rows.extend(islice(_weighted_walk(kind, rows[-1]), max(0, n_max + 1 - len(rows))))
     return rows
 
 
-# Row caches, extended bottom-up on demand.  Compute-then-publish under a
-# lock so concurrent readers never observe a half-built row.
+# Row caches for random access, extended bottom-up on demand.  Compute-then-
+# publish under a lock so concurrent readers never observe a half-built row.
 _lock = threading.Lock()
 _rows_classical: list[list[int]] = []
 _rows_b: list[list[int]] = []
 
 
-def _classical_rows(n: int) -> list[list[int]]:
-    if len(_rows_classical) <= n:
+def _cached_rows(family: Family, n: int) -> list[list[int]]:
+    """The cache of the classical or type-B rows, holding at least rows 0..n."""
+    rows = _rows_classical if family is Family.CLASSICAL else _rows_b
+    if len(rows) <= n:
         with _lock:
-            extend_weighted_rows(_rows_classical, WEIGHT_CLASSICAL, n)
-    return _rows_classical
-
-
-def _b_rows(n: int) -> list[list[int]]:
-    if len(_rows_b) <= n:
-        with _lock:
-            extend_weighted_rows(_rows_b, WEIGHT_ODD, n)
-    return _rows_b
+            extend_weighted_rows(rows, _KIND[family], n)
+    return rows
 
 
 def stirling2(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
-    return _classical_rows(n)[n][k]
+    return _cached_rows(Family.CLASSICAL, n)[n][k]
 
 
 def stirling_b(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
-    return _b_rows(n)[n][k]
+    return _cached_rows(Family.TYPE_B, n)[n][k]
 
 
-def _d_row(n: int) -> list[int]:
-    """Row n of the type-D triangle as a new list, built in one pass.
-
-    Cell k < n is S_B(n,k) - n 2^(n-1-k) S(n-1,k); the last cell is 1.
-    """
-    if n == 0:
-        return [1]
-    prev = _classical_rows(n - 1)[n - 1]
-    row = [b - n * (s << (n - 1 - k)) for k, (b, s) in enumerate(zip(_b_rows(n)[n], prev))]
+def _d_from(n: int, b_row: list[int], prev_row: list[int]) -> list[int]:
+    """Type-D row n as a new list, from B row n and classical row n - 1 (empty
+    for n = 0): cell k < n is S_B(n,k) - n 2^(n-1-k) S(n-1,k), the last is 1."""
+    row = [b - n * (s << (n - 1 - k)) for k, (b, s) in enumerate(zip(b_row, prev_row))]
     row.append(1)
     if min(row) < 0:
         k = next(k for k, value in enumerate(row) if value < 0)
@@ -112,10 +98,27 @@ def _d_row(n: int) -> list[int]:
     return row
 
 
+def _d_row(n: int) -> list[int]:
+    """Row n of the type-D triangle, built from the cached rows in one pass."""
+    prev_row = _cached_rows(Family.CLASSICAL, n - 1)[n - 1] if n else []
+    return _d_from(n, _cached_rows(Family.TYPE_B, n)[n], prev_row)
+
+
 def stirling_d(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return _d_row(n)[k]
+
+
+def rows(family: Family) -> Iterator[list[int]]:
+    """Rows 0, 1, 2, ... of the family's triangle, holding no cache, only what
+    the next row needs: the row before, or for type D B row n and classical
+    row n - 1.  The next classical or B row is built from the one handed out,
+    so change a row only after drawing the next."""
+    if family is Family.TYPE_D:
+        return map(_d_from, count(), rows(Family.TYPE_B), chain([[]], rows(Family.CLASSICAL)))
+    first = [1]
+    return chain([first], _weighted_walk(_KIND[family], first))
 
 
 def _check_row(n: int) -> None:
@@ -160,11 +163,9 @@ def stirling_row(family: Family, n: int) -> list[int]:
     cache.
     """
     _check_row(n)
-    if family is Family.CLASSICAL:
-        return list(_classical_rows(n)[n])
-    if family is Family.TYPE_B:
-        return list(_b_rows(n)[n])
-    return _d_row(n)
+    if family is Family.TYPE_D:
+        return _d_row(n)
+    return list(_cached_rows(family, n)[n])
 
 
 def bell(family: Family, n: int) -> int:
@@ -197,8 +198,8 @@ class _Tables:
     def __init__(self, n_max: int):
         _check_row(n_max)
         self.n_max = n_max
-        self.classical = _classical_rows(n_max)
-        self.b = _b_rows(n_max)
+        self.classical = _cached_rows(Family.CLASSICAL, n_max)
+        self.b = _cached_rows(Family.TYPE_B, n_max)
         # W is kept value by value, so that the defect at n costs one row
         self.w = cache(self._weighted_sum)
 
@@ -312,6 +313,10 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     or is negative fails.  Each side reads tables built once for the call:
     the cached classical and B rows, the Pascal rows and the sequences
     B(n), D(n) and W(m) = sum_k 2^(m-k) S(m,k).
+
+    D_FROM_B and ZERO_BLOCK_DEFECT restate how a D row is built, so a wrong
+    classical or B cell moves both of their sides alike; only ``oracle-check``
+    and the type-D columns of ``egf-check`` check the D rows independently.
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")

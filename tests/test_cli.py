@@ -49,6 +49,23 @@ def test_table_json_format(capsys):
     assert rows[3] == {"n": 3, "cells": [1, 13, 9, 1]}
 
 
+def test_commands_reading_rows_in_order_leave_caches_empty(capsys, monkeypatch):
+    # table, oracle-check and egf-check walk the rows; the caches are for
+    # random access, so filling them would keep every row for the process
+    monkeypatch.setattr(triangles, "_rows_classical", [])
+    monkeypatch.setattr(triangles, "_rows_b", [])
+    for argv in (
+        ["table", "bell-b", "--rows", "50"],
+        ["table", "stirling-d", "--rows", "50"],
+        ["oracle-check", "4"],
+        ["egf-check", "12"],
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        assert triangles._rows_classical == []
+        assert triangles._rows_b == []
+
+
 def test_table_unknown_family_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "stirling-q", "--rows", "3"])

@@ -160,6 +160,9 @@ def test_triangle_build_negative_max_row_raises():
 def test_pure_rows_basic():
     rows = extend_weighted_rows([], WEIGHT_ODD, 3)
     assert rows == [[1], [1, 1], [1, 4, 1], [1, 13, 9, 1]]
+    # a prefix already past n_max is returned unchanged
+    assert extend_weighted_rows(rows, WEIGHT_ODD, 1) is rows
+    assert rows == [[1], [1, 1], [1, 4, 1], [1, 13, 9, 1]]
 
 
 def test_pure_rows_incremental_extension():
@@ -174,6 +177,9 @@ def test_stirling_row_matches_cells(family):
         assert stirling_row(family, n) == [stirling(family, n, k) for k in range(n + 1)]
     with pytest.raises(ValueError):
         stirling_row(family, -1)
+    # the in-order walk, which builds its rows without the caches
+    for n, row in zip(range(61), triangles.rows(family)):
+        assert row == stirling_row(family, n)
 
 
 @pytest.mark.parametrize("family", list(Family))
