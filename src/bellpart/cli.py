@@ -31,12 +31,6 @@ _TABLE_FAMILIES = {
     "bell-d": (Family.TYPE_D, False),
 }
 
-_ENUM_FAMILIES = {
-    "classical": Family.CLASSICAL,
-    "b": Family.TYPE_B,
-    "d": Family.TYPE_D,
-}
-
 _DOBINSKI_FN = {
     "a": (dobinski.dobinski_a, triangles.bell_a),
     "b": (dobinski.dobinski_b, triangles.bell_b),
@@ -79,7 +73,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    family = _ENUM_FAMILIES[args.family]
+    family = Family(args.family)
     if family is Family.CLASSICAL:
         stream = partitions.enum_classical(args.n)
         size = lambda p: len(p.blocks)
@@ -203,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream partitions")
-    p.add_argument("family", choices=sorted(_ENUM_FAMILIES))
+    p.add_argument("family", choices=sorted(f.value for f in Family))
     p.add_argument("n", type=_nonnegative_int)
     p.add_argument("--pairs", type=_nonnegative_int, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")

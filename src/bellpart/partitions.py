@@ -143,8 +143,9 @@ def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if family is Family.CLASSICAL:
-        raise ValueError("use enum_classical for the classical family")
+    if family not in (Family.TYPE_B, Family.TYPE_D):
+        hint = "; use enum_classical" if family is Family.CLASSICAL else ""
+        raise ValueError(f"not a signed family: {family!r}{hint}")
     for zero_support, blocks in _walk(n, family):
         # the minimum of each block stays positive; every other
         # element independently takes either sign

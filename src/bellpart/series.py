@@ -78,7 +78,9 @@ def egf_coefficients(family: Family, order: int) -> list[int]:
     if family is Family.TYPE_B:
         # adding x raises entry 1 from 1 to 2
         return _exp([h + (n == 1) for n, h in enumerate(half)])
-    return _mul(_exp(half), _exp_minus_x(order))
+    if family is Family.TYPE_D:
+        return _mul(_exp(half), _exp_minus_x(order))
+    raise ValueError(f"not a family: {family!r}")
 
 
 def egf_stirling_d_column(k: int, order: int) -> list[int]:

@@ -1,7 +1,7 @@
 """Exact computation of the classical, type-B and type-D Stirling triangles
 of the second kind, the matching Bell sequences, and an identity checker.
 
-Number families:
+Number families, each selected by a ``Family``:
 
 * ``stirling2(n, k)``  -- classical second-kind Stirling numbers
 * ``stirling_b(n, k)`` -- type-B analogue, recurrence
@@ -12,9 +12,10 @@ Number families:
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
-``stirling_row(family, n)`` serves a whole row from the caches, and
-``rows(family)`` walks rows 0, 1, 2, ... without them.  Rows and Bell
-numbers exist for n >= 0 only; a negative n raises ValueError.
+Random access reads row n through ``_row(family, n)``, from the classical
+and B row caches; ``rows(family)`` walks rows 0, 1, 2, ... without them.
+Rows and Bell numbers exist for n >= 0 only: a negative n raises ValueError,
+and a family that is not a ``Family`` raises KeyError or ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain, count, islice
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -33,29 +34,25 @@ class Family(Enum):
     TYPE_D = "d"
 
 
-# weight kinds of extend_weighted_rows
-WEIGHT_CLASSICAL = 0
-WEIGHT_ODD = 1
-
-_KIND = {Family.CLASSICAL: WEIGHT_CLASSICAL, Family.TYPE_B: WEIGHT_ODD}
+# (a, b) of the weight w(k) = a + b k in each cached family's row step
+_WEIGHTS = {Family.CLASSICAL: (0, 1), Family.TYPE_B: (1, 2)}
 
 
-def _weighted_walk(kind: int, row: list[int]) -> Iterator[list[int]]:
-    """The rows after ``row``, row n by ``T(n,k) = T(n-1,k-1) + w(k) T(n-1,k)``
-    with 0 outside row n - 1, and w(k) = k for ``WEIGHT_CLASSICAL`` or
-    2k + 1 for ``WEIGHT_ODD`` (type B)."""
-    while True:
-        n = len(row)
-        weights = range(n + 1) if kind == WEIGHT_CLASSICAL else range(1, 2 * n + 2, 2)
-        row = [a + w * b for a, w, b in zip([0, *row], weights, [*row, 0])]
-        yield row
+def _weighted_walk(family: Family, row: list[int]) -> Iterator[list[int]]:
+    """``row``, then each next row by ``T(n,k) = T(n-1,k-1) + w(k) T(n-1,k)``
+    with 0 outside row n - 1: w(k) = k classical, 2k + 1 type B.  An unknown
+    family raises at the call, before any row is handed out."""
+    a, b = _WEIGHTS[family]
+    step = lambda prev, _: [x + w * y for x, w, y in zip([0, *prev], count(a, b), [*prev, 0])]
+    return accumulate(repeat(None), step, initial=row)
 
 
-def extend_weighted_rows(rows: list[list[int]], kind: int, n_max: int) -> list[list[int]]:
-    """Extend ``rows`` (empty or a valid prefix) from ``_weighted_walk`` to rows 0..n_max."""
+def extend_weighted_rows(rows: list[list[int]], family: Family, n_max: int) -> list[list[int]]:
+    """Extend ``rows`` (empty or a valid prefix) to rows 0..n_max from ``_weighted_walk``,
+    which starts at the last row held."""
     if not rows:
         rows.append([1])
-    rows.extend(islice(_weighted_walk(kind, rows[-1]), max(0, n_max + 1 - len(rows))))
+    rows.extend(islice(_weighted_walk(family, rows[-1]), 1, max(1, n_max + 2 - len(rows))))
     return rows
 
 
@@ -67,24 +64,15 @@ _rows_b: list[list[int]] = []
 
 
 def _cached_rows(family: Family, n: int) -> list[list[int]]:
-    """The cache of the classical or type-B rows, holding at least rows 0..n."""
-    rows = _rows_classical if family is Family.CLASSICAL else _rows_b
+    """The cache of the classical or type-B rows, holding at least rows 0..n.
+    A negative n would index the cache from its end, so it raises."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    rows = {Family.CLASSICAL: _rows_classical, Family.TYPE_B: _rows_b}[family]
     if len(rows) <= n:
         with _lock:
-            extend_weighted_rows(rows, _KIND[family], n)
+            extend_weighted_rows(rows, family, n)
     return rows
-
-
-def stirling2(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return _cached_rows(Family.CLASSICAL, n)[n][k]
-
-
-def stirling_b(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return _cached_rows(Family.TYPE_B, n)[n][k]
 
 
 def _d_from(n: int, b_row: list[int], prev_row: list[int]) -> list[int]:
@@ -98,16 +86,31 @@ def _d_from(n: int, b_row: list[int], prev_row: list[int]) -> list[int]:
     return row
 
 
-def _d_row(n: int) -> list[int]:
-    """Row n of the type-D triangle, built from the cached rows in one pass."""
-    prev_row = _cached_rows(Family.CLASSICAL, n - 1)[n - 1] if n else []
-    return _d_from(n, _cached_rows(Family.TYPE_B, n)[n], prev_row)
+def _row(family: Family, n: int) -> list[int]:
+    """Row n of the family's triangle: the cached list itself for classical
+    and type B, so callers must not change it, and a new list for type D."""
+    if family is Family.TYPE_D:
+        prev_row = _cached_rows(Family.CLASSICAL, n - 1)[n - 1] if n else []
+        return _d_from(n, _cached_rows(Family.TYPE_B, n)[n], prev_row)
+    return _cached_rows(family, n)[n]
+
+
+def stirling2(n: int, k: int) -> int:
+    if k < 0 or k > n:
+        return 0
+    return _row(Family.CLASSICAL, n)[k]
+
+
+def stirling_b(n: int, k: int) -> int:
+    if k < 0 or k > n:
+        return 0
+    return _row(Family.TYPE_B, n)[k]
 
 
 def stirling_d(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
-    return _d_row(n)[k]
+    return _row(Family.TYPE_D, n)[k]
 
 
 def rows(family: Family) -> Iterator[list[int]]:
@@ -117,26 +120,19 @@ def rows(family: Family) -> Iterator[list[int]]:
     so change a row only after drawing the next."""
     if family is Family.TYPE_D:
         return map(_d_from, count(), rows(Family.TYPE_B), chain([[]], rows(Family.CLASSICAL)))
-    first = [1]
-    return chain([first], _weighted_walk(_KIND[family], first))
-
-
-def _check_row(n: int) -> None:
-    """Rows exist for n >= 0 only; a negative n would index the cache from its end."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    return _weighted_walk(family, [1])
 
 
 def bell_a(n: int) -> int:
-    return sum(stirling_row(Family.CLASSICAL, n))
+    return sum(_row(Family.CLASSICAL, n))
 
 
 def bell_b(n: int) -> int:
-    return sum(stirling_row(Family.TYPE_B, n))
+    return sum(_row(Family.TYPE_B, n))
 
 
 def bell_d(n: int) -> int:
-    return sum(stirling_row(Family.TYPE_D, n))
+    return sum(_row(Family.TYPE_D, n))
 
 
 _STIRLING_FN = {
@@ -162,10 +158,7 @@ def stirling_row(family: Family, n: int) -> list[int]:
     The list is a new copy, so callers may change it without touching the
     cache.
     """
-    _check_row(n)
-    if family is Family.TYPE_D:
-        return _d_row(n)
-    return list(_cached_rows(family, n)[n])
+    return list(_row(family, n))
 
 
 def bell(family: Family, n: int) -> int:
@@ -191,12 +184,11 @@ class _Tables:
     """What the identities read for n <= n_max, each piece built once per call.
 
     The classical and B rows are the caches themselves, not copies, and a D
-    row is built by ``_d_row`` where it is read.  Every other table is built
+    row is built by ``_row`` where it is read.  Every other table is built
     on first use, so a check builds only what it reads.
     """
 
     def __init__(self, n_max: int):
-        _check_row(n_max)
         self.n_max = n_max
         self.classical = _cached_rows(Family.CLASSICAL, n_max)
         self.b = _cached_rows(Family.TYPE_B, n_max)
@@ -217,7 +209,7 @@ class _Tables:
 
     @cached_property
     def bell_d(self) -> list[int]:
-        return [sum(_d_row(n)) for n in range(self.n_max + 1)]
+        return [sum(_row(Family.TYPE_D, n)) for n in range(self.n_max + 1)]
 
     def _weighted_sum(self, m: int) -> int:
         """W(m) = sum_k 2^(m-k) S(m,k)."""
@@ -284,7 +276,7 @@ class _Identity(NamedTuple):
 
 _IDENTITIES = {
     "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n)), rows=True),
-    "D_FROM_B": _Identity(lambda n, t: (_d_row(n), t.d_from_b(n)), rows=True),
+    "D_FROM_B": _Identity(lambda n, t: (_row(Family.TYPE_D, n), t.d_from_b(n)), rows=True),
     "B_BELL_REC": _Identity(
         lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.b_binomial_sum(n)), shift=1
     ),

@@ -245,16 +245,21 @@ def test_dobinski_negative_n_usage_error(capsys, family, n):
 def test_closed_stdout_exits_141_quietly():
     # a reader that stops early, like `| head -c 100`, is not a crash
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    argv = [sys.executable, "-m", "bellpart.cli", "table", "stirling-b", "--rows", "3000"]
-    with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    ) as proc:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert code == 141
-    assert stderr == b""
+    for args in (
+        ("table", "stirling-b", "--rows", "3000"),
+        # the partition walk keeps O(n) state, so n = 1200 starts streaming
+        ("enumerate", "classical", "1200"),
+    ):
+        argv = [sys.executable, "-m", "bellpart.cli", *args]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert code == 141, args
+        assert stderr == b"", args
 
 
 def test_egf_check(capsys):
@@ -329,7 +334,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 def test_verify_failure_line_and_exit_code(capsys, monkeypatch, ident, cell, line):
     # B rows 0..8 with cell (n, k) set wrong; verify reads only rows <= 6
     n, k, value = cell
-    rows = triangles.extend_weighted_rows([], triangles.WEIGHT_ODD, 8)
+    rows = triangles.extend_weighted_rows([], Family.TYPE_B, 8)
     rows[n][k] = value
     monkeypatch.setattr(triangles, "_rows_b", rows)
     code, out = run(capsys, "verify", ident, "--max-n", "5")

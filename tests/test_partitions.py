@@ -64,8 +64,10 @@ class TestSigned:
             assert parts == [SignedSetPartition(0, (), ())]
 
     def test_classical_family_rejected(self):
-        with pytest.raises(ValueError):
-            next(enum_signed(2, Family.CLASSICAL))
+        # and any value that is not a signed Family, such as its string value
+        for family in (Family.CLASSICAL, "b", "d", None):
+            with pytest.raises(ValueError):
+                next(enum_signed(2, family))
 
     def test_d1_single_partition(self):
         parts = list(enum_signed(1, Family.TYPE_D))
@@ -204,6 +206,11 @@ class TestCanonicalize:
 
 
 class TestCounts:
+    @pytest.mark.parametrize("family", ["b", "d", None])
+    def test_count_by_pairs_rejects_non_family(self, family):
+        with pytest.raises(ValueError):
+            count_by_pairs(3, family)
+
     def test_count_by_pairs_examples(self):
         assert count_by_pairs(4, Family.TYPE_D) == [1, 24, 34, 12, 1]
         assert count_by_pairs(0, Family.TYPE_B) == [1]

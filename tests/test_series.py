@@ -99,6 +99,12 @@ class TestBellEgfs:
         b = egf_coefficients(Family.TYPE_B, order)
         assert d == [b[0]] + [b[n] - n * h[n - 1] for n in range(1, order + 1)]
 
+    @pytest.mark.parametrize("family", ["b", "d", None])
+    def test_non_family_rejected(self, family):
+        # a value that is not a Family must not fall through to type D
+        with pytest.raises(ValueError):
+            egf_coefficients(family, 4)
+
     @pytest.mark.parametrize("family", list(Family))
     def test_negative_order_rejected(self, family):
         with pytest.raises(ValueError):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from bellpart import triangles
 from bellpart.triangles import (
-    WEIGHT_CLASSICAL,
-    WEIGHT_ODD,
     Family,
     bell_a,
     bell_b,
@@ -158,16 +156,16 @@ def test_triangle_build_negative_max_row_raises():
 
 
 def test_pure_rows_basic():
-    rows = extend_weighted_rows([], WEIGHT_ODD, 3)
+    rows = extend_weighted_rows([], Family.TYPE_B, 3)
     assert rows == [[1], [1, 1], [1, 4, 1], [1, 13, 9, 1]]
     # a prefix already past n_max is returned unchanged
-    assert extend_weighted_rows(rows, WEIGHT_ODD, 1) is rows
+    assert extend_weighted_rows(rows, Family.TYPE_B, 1) is rows
     assert rows == [[1], [1, 1], [1, 4, 1], [1, 13, 9, 1]]
 
 
 def test_pure_rows_incremental_extension():
-    rows = extend_weighted_rows([], WEIGHT_CLASSICAL, 2)
-    extend_weighted_rows(rows, WEIGHT_CLASSICAL, 5)
+    rows = extend_weighted_rows([], Family.CLASSICAL, 2)
+    extend_weighted_rows(rows, Family.CLASSICAL, 5)
     assert rows[5] == [0, 1, 15, 25, 10, 1]
 
 
@@ -193,6 +191,20 @@ def test_stirling_row_is_a_copy(family):
     assert [stirling(family, n, k) for k in range(n + 1)] == cells
     assert bell(family, n) == total
     assert stirling_row(family, n) == cells
+
+
+@pytest.mark.parametrize("family", ["b", "d", None])
+def test_non_family_raises(family):
+    # with B rows cached, a stray family must raise, not read the B cache
+    stirling_row(Family.TYPE_B, 5)
+    for call in (
+        lambda: stirling_row(family, 3),
+        lambda: triangles.rows(family),  # at the call, before any row
+        lambda: stirling(family, 2, 1),
+        lambda: bell(family, 3),
+    ):
+        with pytest.raises((KeyError, ValueError)):
+            call()
 
 
 class TestIdentities:
@@ -271,7 +283,7 @@ def test_b_from_classical_pointwise(n, k):
 
 def _corrupted_b_rows(n_max: int, n: int, k: int, value: int) -> list[list[int]]:
     """Type-B rows 0..n_max, built afresh, with cell (n, k) set to ``value``."""
-    rows = extend_weighted_rows([], WEIGHT_ODD, n_max)
+    rows = extend_weighted_rows([], Family.TYPE_B, n_max)
     rows[n][k] = value
     return rows
 
@@ -297,7 +309,7 @@ class TestIdentityFailures:
 
 def test_wrong_classical_cell(monkeypatch):
     # S(4,2) read as 8, not 7; rows are built past n_max first, as above
-    rows = extend_weighted_rows([], WEIGHT_CLASSICAL, 8)
+    rows = extend_weighted_rows([], Family.CLASSICAL, 8)
     rows[4][2] = 8
     monkeypatch.setattr(triangles, "_rows_classical", rows)
     assert verify_identity("B_FROM_CLASSICAL", 6).first_failure == (4, 2, 58, 62)
