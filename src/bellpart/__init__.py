@@ -26,7 +26,7 @@ from bellpart.partitions import (
     enum_classical,
     enum_signed,
 )
-from bellpart.series import egf_coefficients, egf_stirling_d_column
+from bellpart.series import egf_coefficients, egf_stirling_d_column, egf_triangle
 from bellpart.dobinski import Interval, dobinski_a, dobinski_b, dobinski_d, exp_neg_bounds
 
 __version__ = "0.1.0"
@@ -57,6 +57,7 @@ __all__ = [
     "enum_signed",
     "egf_coefficients",
     "egf_stirling_d_column",
+    "egf_triangle",
     "Interval",
     "dobinski_a",
     "dobinski_b",

@@ -15,7 +15,7 @@ arguments return 0 so identity sums can run over uniform index ranges.
 Random access reads row n through ``_row(family, n)``, from the classical
 and B row caches; ``rows(family)`` walks rows 0, 1, 2, ... without them.
 Rows and Bell numbers exist for n >= 0 only: a negative n raises ValueError,
-and a family that is not a ``Family`` raises KeyError or ValueError.
+and a family that is not a ``Family`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -38,11 +38,19 @@ class Family(Enum):
 _WEIGHTS = {Family.CLASSICAL: (0, 1), Family.TYPE_B: (1, 2)}
 
 
+def _lookup(table: dict, family: Family):
+    """``table[family]``; a key it lacks, such as ``"b"``, raises ValueError."""
+    try:
+        return table[family]
+    except KeyError:
+        raise ValueError(f"not a family: {family!r}") from None
+
+
 def _weighted_walk(family: Family, row: list[int]) -> Iterator[list[int]]:
     """``row``, then each next row by ``T(n,k) = T(n-1,k-1) + w(k) T(n-1,k)``
     with 0 outside row n - 1: w(k) = k classical, 2k + 1 type B.  An unknown
     family raises at the call, before any row is handed out."""
-    a, b = _WEIGHTS[family]
+    a, b = _lookup(_WEIGHTS, family)
     step = lambda prev, _: [x + w * y for x, w, y in zip([0, *prev], count(a, b), [*prev, 0])]
     return accumulate(repeat(None), step, initial=row)
 
@@ -68,7 +76,7 @@ def _cached_rows(family: Family, n: int) -> list[list[int]]:
     A negative n would index the cache from its end, so it raises."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rows = {Family.CLASSICAL: _rows_classical, Family.TYPE_B: _rows_b}[family]
+    rows = _lookup({Family.CLASSICAL: _rows_classical, Family.TYPE_B: _rows_b}, family)
     if len(rows) <= n:
         with _lock:
             extend_weighted_rows(rows, family, n)
@@ -149,7 +157,7 @@ _BELL_FN = {
 
 
 def stirling(family: Family, n: int, k: int) -> int:
-    return _STIRLING_FN[family](n, k)
+    return _lookup(_STIRLING_FN, family)(n, k)
 
 
 def stirling_row(family: Family, n: int) -> list[int]:
@@ -162,7 +170,7 @@ def stirling_row(family: Family, n: int) -> list[int]:
 
 
 def bell(family: Family, n: int) -> int:
-    return _BELL_FN[family](n)
+    return _lookup(_BELL_FN, family)(n)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +316,8 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
 
     D_FROM_B and ZERO_BLOCK_DEFECT restate how a D row is built, so a wrong
     classical or B cell moves both of their sides alike; only ``oracle-check``
-    and the type-D columns of ``egf-check`` check the D rows independently.
+    and ``egf-check``, which compares every row of all three triangles, check
+    the D rows independently.
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")

@@ -275,53 +275,79 @@ def test_egf_check_order0(capsys):
 
 
 def test_egf_check_bell_mismatch(capsys, monkeypatch):
-    real = series.egf_coefficients
+    real = series.egf_triangle
 
     def wrong_d(family, order):
-        values = real(family, order)
+        rows = real(family, order)
         if family is Family.TYPE_D:
-            values[-1] += 1
-        return values
+            rows[-1][0] += 1
+        return rows
 
-    monkeypatch.setattr(series, "egf_coefficients", wrong_d)
+    monkeypatch.setattr(series, "egf_triangle", wrong_d)
     code, out = run(capsys, "egf-check", "3")
     assert code == 1
     assert out.splitlines() == [
         "bell-classical: 1,1,2,5 OK",
         "bell-b: 1,2,6,24 OK",
         "bell-d: 1,1,4,16 MISMATCH",
+        "stirling-d row n=3: MISMATCH",
         "egf-check: FAIL",
     ]
 
 
 def test_egf_check_column_mismatch(capsys, monkeypatch):
-    real = series.egf_stirling_d_column
+    real = series.egf_triangle
 
-    def wrong_column(k, order):
-        values = real(k, order)
-        if k == 2:
-            values[3] += 1
-        return values
+    def wrong_cells(family, order):
+        # S_D(3, 1) and S_D(3, 2) moved by one each way: the row sum holds
+        rows = real(family, order)
+        if family is Family.TYPE_D:
+            rows[3][1] += 1
+            rows[3][2] -= 1
+        return rows
 
-    monkeypatch.setattr(series, "egf_stirling_d_column", wrong_column)
+    monkeypatch.setattr(series, "egf_triangle", wrong_cells)
     code, out = run(capsys, "egf-check", "3")
     assert code == 1
-    assert out.splitlines()[3:] == [
-        "stirling-d column k=2: MISMATCH",
-        "column sum mismatch at n=3",
+    assert out.splitlines()[2:] == [
+        "bell-d: 1,1,4,15 OK",
+        "stirling-d row n=3: MISMATCH",
+        "egf-check: FAIL",
+    ]
+
+
+def test_egf_check_catches_cells_with_right_row_sum(capsys, monkeypatch):
+    # classical row 4 is [0, 1, 7, 6, 1]; swapping two cells keeps its sum,
+    # and type D at order 4 reads classical rows 0..3 only
+    real = triangles.rows
+
+    def swapped(family):
+        walk = real(family)
+        if family is Family.CLASSICAL:
+            walk = ([0, 1, 6, 7, 1] if n == 4 else row for n, row in enumerate(walk))
+        return walk
+
+    monkeypatch.setattr(triangles, "rows", swapped)
+    code, out = run(capsys, "egf-check", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "bell-classical: 1,1,2,5,15 OK",
+        "stirling-classical row n=4: MISMATCH",
+        "bell-b: 1,2,6,24,116 OK",
+        "bell-d: 1,1,4,15,72 OK",
         "egf-check: FAIL",
     ]
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(family, order):
-        raise series.IntegralityError("bell egf: not an integer")
+        raise RuntimeError("egf triangle: broken")
 
-    monkeypatch.setattr(series, "egf_coefficients", broken)
+    monkeypatch.setattr(series, "egf_triangle", broken)
     assert main(["egf-check", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "IntegralityError: bell egf: not an integer" in captured.err
+    assert "RuntimeError: egf triangle: broken" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -8,22 +8,15 @@ from hypothesis import strategies as st
 
 from bellpart.dobinski import dobinski_a, dobinski_b, dobinski_d
 from bellpart.partitions import canonicalize, enum_signed
-from bellpart.series import egf_stirling_d_column
+from bellpart.series import egf_triangle
 from bellpart.triangles import Family, bell_a, bell_b, bell_d, stirling_row
 
 
-@st.composite
-def _row_and_column(draw, n_max):
-    n = draw(st.integers(0, n_max))
-    return n, draw(st.integers(0, n))
-
-
-@given(_row_and_column(30))
+@given(st.sampled_from(Family), st.integers(0, 30))
 @settings(max_examples=25, deadline=None)
-def test_d_row_matches_egf_column(nk):
-    # the generating function shares no code with the row formula
-    n, k = nk
-    assert stirling_row(Family.TYPE_D, n)[k] == egf_stirling_d_column(k, n)[n]
+def test_row_matches_egf_triangle(family, n):
+    # the generating function shares no code with the row recurrences
+    assert stirling_row(family, n) == egf_triangle(family, n)[n]
 
 
 @given(st.integers(0, 80))
