@@ -8,18 +8,17 @@ underflows; the traceback goes to stderr), 141 stdout closed by its
 reader (as a shell reports a tool ended by SIGPIPE; nothing goes to
 stderr).
 Results go to stdout, diagnostics to stderr.
+partitions, series, json and traceback are imported only where they are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 
-from bellpart import dobinski, partitions, series, triangles
+from bellpart import dobinski, triangles
 from bellpart.triangles import Family
 
 _TABLE_FAMILIES = {
@@ -40,6 +39,8 @@ _DOBINSKI_FN = {
 
 def cmd_table(args) -> int:
     family, is_triangle = _TABLE_FAMILIES[args.family]
+    if args.format == "json":
+        import json
     sep = "\t" if args.format == "tsv" else " "
     for n, row in zip(range(args.rows + 1), triangles.rows(family)):
         if is_triangle:
@@ -73,6 +74,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from bellpart import partitions
     family = Family(args.family)
     if family is Family.CLASSICAL:
         stream = partitions.enum_classical(args.n)
@@ -91,6 +93,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from bellpart import partitions
     ok = True
     walks = zip(*(triangles.rows(family) for family in Family))
     for n, expected_rows in zip(range(args.n_max + 1), walks):
@@ -128,6 +131,7 @@ def cmd_dobinski(args) -> int:
 
 
 def cmd_egf_check(args) -> int:
+    from bellpart import series
     ok = True
     for family in Family:
         triangle = series.egf_triangle(family, args.order)
@@ -228,6 +232,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except Exception:
+        import traceback
         traceback.print_exc()
         return 3
 

@@ -13,20 +13,19 @@ target, so the work is polynomial in n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import islice
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
+class Interval(namedtuple("Interval", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> Fraction:

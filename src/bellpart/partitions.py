@@ -14,9 +14,7 @@ none (|zero_support| != 1); ``is_type_d`` holds that rule.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from bellpart.triangles import Family
 
@@ -29,8 +27,7 @@ class PairingError(ValueError):
     """Zero-block not negation-closed, or a block's negation is absent."""
 
 
-@dataclass(frozen=True)
-class ClassicalSetPartition:
+class ClassicalSetPartition(NamedTuple):
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
@@ -38,14 +35,14 @@ class ClassicalSetPartition:
         return " | ".join(",".join(str(x) for x in b) for b in self.blocks)
 
     def render_json(self) -> str:
+        import json
         return json.dumps(
             {"n": self.n, "blocks": [list(b) for b in self.blocks]},
             separators=(",", ":"),
         )
 
 
-@dataclass(frozen=True)
-class SignedSetPartition:
+class SignedSetPartition(NamedTuple):
     n: int
     zero_support: tuple[int, ...]
     pairs: tuple[tuple[int, ...], ...]
@@ -64,6 +61,7 @@ class SignedSetPartition:
         return " | ".join(parts)
 
     def render_json(self) -> str:
+        import json
         return json.dumps(
             {
                 "n": self.n,
@@ -237,9 +235,9 @@ def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:
     Returns ``(counts, defect)``: ``counts[family]`` equals
     ``count_by_pairs(n, family)`` for each family, and ``defect`` the number
     of type-B partitions that are not type D, B(n) - D(n) (0 at n = 0).
-    The walk is that of ``enum_signed(n, TYPE_B)``, but a sign vector is
-    only an int and no partition object is built.  The classical partitions
-    of [n] are the unsigned partitions of the rest of the empty zero support.
+    The walk is that of ``enum_signed(n, TYPE_B)``, but no sign vector is
+    iterated and no partition object is built.  The classical partitions of
+    [n] are the unsigned partitions of the rest of the empty zero support.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -249,11 +247,8 @@ def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:
         k = len(blocks)
         if not zero_support:
             classical[k] += 1
-        # bit j of the sign vector is the sign of the j-th non-minimum
-        # element; every vector is one partition
-        visited = 0
-        for _signs in range(1 << (n - len(zero_support) - k)):
-            visited += 1
+        # each non-minimum element takes either sign; one partition per sign vector
+        visited = 1 << (n - len(zero_support) - k)
         type_b[k] += visited
         if is_type_d(zero_support):
             type_d[k] += visited

@@ -21,7 +21,6 @@ and a family that is not a ``Family`` raises ValueError.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import accumulate, chain, count, islice, repeat
@@ -177,8 +176,7 @@ def bell(family: Family, n: int) -> int:
 # Identity verification
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: str
     n_max: int
     status: bool

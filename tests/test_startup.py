@@ -1,0 +1,92 @@
+"""Each CLI call loads only the modules its subcommand runs.
+
+In-process tests cannot see a missing or an eager import, because pytest has
+already imported every module.  So each call here runs ``main(argv)`` in a
+fresh interpreter, which reports its ``sys.modules`` on the last line of
+stderr.  The modules that a bare interpreter loads are subtracted, so that a
+site hook cannot fail the test.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+REPORT_MODULES = "print(' '.join(sys.modules), file=sys.stderr)"
+
+CHILD = f"""\
+import sys
+from bellpart.cli import main
+code = main(sys.argv[1:])
+{REPORT_MODULES}
+sys.exit(code)
+"""
+
+CALLS = {
+    "table": ["table", "stirling-d", "--rows", "5"],
+    "table-json": ["table", "stirling-d", "--rows", "5", "--format", "json"],
+    "verify": ["verify", "all", "--max-n", "5"],
+    "enumerate": ["enumerate", "b", "3"],
+    "enumerate-json": ["enumerate", "d", "3", "--format", "json"],
+    "oracle-check": ["oracle-check", "4"],
+    "dobinski": ["dobinski", "d", "5", "1/2"],
+    "egf-check": ["egf-check", "5"],
+}
+
+# neither the partition walk nor JSON output
+NO_PARTITIONS = {"table", "verify", "dobinski", "egf-check"}
+
+
+def _child(code: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=ENV,
+        timeout=60,
+    )
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    proc = _child(f"import sys; {REPORT_MODULES}")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_subcommand_loads_only_what_it_runs(name, bare_modules):
+    proc = _child(CHILD, *CALLS[name])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split()) - bare_modules
+    assert "bellpart.cli" in loaded
+    assert not loaded & {"dataclasses", "traceback"}
+    if name in NO_PARTITIONS:
+        assert not loaded & {"bellpart.partitions", "json"}
+    assert ("bellpart.series" in loaded) == (name == "egf-check")
+    if name.endswith("-json"):
+        assert "json" in loaded
+
+
+def test_internal_error_exits_3_in_fresh_interpreter():
+    # the traceback module is imported only on this path
+    code = """\
+import sys
+from bellpart import series
+
+def broken(family, order):
+    raise RuntimeError("egf triangle: broken")
+
+series.egf_triangle = broken
+from bellpart.cli import main
+sys.exit(main(["egf-check", "3"]))
+"""
+    proc = _child(code)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" in proc.stderr
+    assert "RuntimeError: egf triangle: broken" in proc.stderr
