@@ -42,16 +42,12 @@ def cmd_table(args) -> int:
     if args.format == "json":
         import json
     sep = "\t" if args.format == "tsv" else " "
-    for n, row in zip(range(args.rows + 1), triangles.rows(family)):
-        if is_triangle:
-            record, fields = {"n": n, "cells": row}, row
-        else:
-            value = sum(row)
-            record, fields = {"n": n, "value": value}, (n, value)
+    walk, key = (triangles.rows, "cells") if is_triangle else (triangles.bells, "value")
+    for n, item in zip(range(args.rows + 1), walk(family)):
         if args.format == "json":
-            print(json.dumps(record, separators=(",", ":")))
+            print(json.dumps({"n": n, key: item}, separators=(",", ":")))
         else:
-            print(sep.join(str(f) for f in fields))
+            print(sep.join(map(str, item if is_triangle else (n, item))))
     return 0
 
 
@@ -76,18 +72,19 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     from bellpart import partitions
     family = Family(args.family)
-    if family is Family.CLASSICAL:
-        stream = partitions.enum_classical(args.n)
-        size = lambda p: len(p.blocks)
+    if family is not Family.CLASSICAL and args.format == "text":
+        groups = partitions.signed_text_groups(args.n, family, args.pairs)
     else:
-        stream = partitions.enum_signed(args.n, family)
-        size = lambda p: p.num_pairs
+        if family is Family.CLASSICAL:
+            stream, size = partitions.enum_classical(args.n), lambda p: len(p.blocks)
+        else:
+            stream, size = partitions.enum_signed(args.n, family), lambda p: p.num_pairs
+        render = lambda p: p.render_text() if args.format == "text" else p.render_json()
+        groups = ([render(p)] for p in stream if args.pairs is None or size(p) == args.pairs)
     count = 0
-    for p in stream:
-        if args.pairs is not None and size(p) != args.pairs:
-            continue
-        count += 1
-        print(p.render_text() if args.format == "text" else p.render_json())
+    for lines in groups:
+        count += len(lines)
+        print("\n".join(lines))
     print(f"count {count}")
     return 0
 

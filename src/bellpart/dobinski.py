@@ -27,6 +27,11 @@ class Interval(namedtuple("Interval", "lo hi")):
             raise ValueError(f"empty interval [{lo}, {hi}]")
         return super().__new__(cls, lo, hi)
 
+    @classmethod
+    def _make(cls, iterable) -> Interval:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

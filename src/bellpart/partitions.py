@@ -52,13 +52,7 @@ class SignedSetPartition(NamedTuple):
         return len(self.pairs)
 
     def render_text(self) -> str:
-        zero = "0" + "".join(f",±{i}" for i in self.zero_support)
-        parts = [zero]
-        for rep in self.pairs:
-            pos = ",".join(str(x) for x in rep)
-            neg = ",".join(str(-x) for x in rep)
-            parts.append(f"{pos}/{neg}")
-        return " | ".join(parts)
+        return " | ".join([_zero_text(self.zero_support), *map(_pair_text, self.pairs)])
 
     def render_json(self) -> str:
         import json
@@ -70,6 +64,14 @@ class SignedSetPartition(NamedTuple):
             },
             separators=(",", ":"),
         )
+
+
+def _zero_text(zero_support: Sequence[int]) -> str:
+    return "0" + "".join(f",±{i}" for i in zero_support)
+
+
+def _pair_text(rep: Sequence[int]) -> str:
+    return ",".join(str(x) for x in rep) + "/" + ",".join(str(-x) for x in rep)
 
 
 def _rgs_blocks(elements: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -119,7 +121,13 @@ def is_type_d(zero_support: Sequence[int]) -> bool:
 def _walk(n: int, family: Family) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Each zero support of <n> in lexicographic order, with each unsigned
     partition of the rest of [n] in RGS order: the walk of ``enum_signed``.
-    TYPE_D skips the zero supports of exactly one element."""
+    TYPE_D skips the zero supports of exactly one element.  A negative n or
+    a family that is not signed raises ValueError at the first item."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if family not in (Family.TYPE_B, Family.TYPE_D):
+        hint = "; use enum_classical" if family is Family.CLASSICAL else ""
+        raise ValueError(f"not a signed family: {family!r}{hint}")
     subsets = itertools.chain.from_iterable(
         itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
     )
@@ -131,6 +139,13 @@ def _walk(n: int, family: Family) -> Iterator[tuple[tuple[int, ...], tuple]]:
             yield zero_support, blocks
 
 
+def _signed_reps(block: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The pair representatives of one unsigned block: its minimum stays
+    positive, every other element takes either sign, in binary counting
+    order (0 = positive)."""
+    return [(block[0], *signed) for signed in itertools.product(*((x, -x) for x in block[1:]))]
+
+
 def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
     """Each canonical signed partition of <n> exactly once.
 
@@ -139,20 +154,25 @@ def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
     lexicographic order, unsigned partitions of the rest in RGS order,
     then sign vectors in binary counting order (0 = positive).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if family not in (Family.TYPE_B, Family.TYPE_D):
-        hint = "; use enum_classical" if family is Family.CLASSICAL else ""
-        raise ValueError(f"not a signed family: {family!r}{hint}")
     for zero_support, blocks in _walk(n, family):
-        # the minimum of each block stays positive; every other
-        # element independently takes either sign
-        variants = [
-            [(blk[0], *signed) for signed in itertools.product(*((x, -x) for x in blk[1:]))]
-            for blk in blocks
-        ]
-        for pairs in itertools.product(*variants):
+        for pairs in itertools.product(*map(_signed_reps, blocks)):
             yield SignedSetPartition(n, zero_support, pairs)
+
+
+def signed_text_groups(n: int, family: Family, pairs: int | None = None) -> Iterator[list[str]]:
+    """The ``render_text`` lines of ``enum_signed(n, family)``, in its order,
+    as one list per unsigned partition of the walk; with ``pairs`` set, only
+    the partitions of that many pairs.  No partition object is built: the
+    zero string and each block's pair strings are rendered once per group,
+    and a group of k blocks holds 2^(n - |zero support| - k) lines."""
+    for zero_support, blocks in _walk(n, family):
+        if pairs is not None and len(blocks) != pairs:
+            continue
+        lines = [_zero_text(zero_support)]
+        for block in blocks:
+            texts = [_pair_text(rep) for rep in _signed_reps(block)]
+            lines = [f"{line} | {text}" for line in lines for text in texts]
+        yield lines
 
 
 def classify(p: SignedSetPartition) -> Family:
@@ -239,8 +259,6 @@ def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:
     iterated and no partition object is built.  The classical partitions of
     [n] are the unsigned partitions of the rest of the empty zero support.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     classical, type_b, type_d = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     defect = 0
     for zero_support, blocks in _walk(n, Family.TYPE_B):

@@ -8,7 +8,13 @@ Number families, each selected by a ``Family``:
   ``S_B(n,k) = S_B(n-1,k-1) + (2k+1) S_B(n-1,k)``
 * ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
   ``S_D(n,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k)``, uncached
-* ``bell_a / bell_b / bell_d`` -- the corresponding row sums.
+* ``bell_a / bell_b / bell_d`` -- the corresponding row sums, each the n-th
+  term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
+  It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
+  (c, d) = (1, 0) classical and (2, 1) type B, as one in-place array of
+  additions (Aitken's, generalised to the weight c), and gives
+  D(n) = B(n) - n W(n-1), W the (2, 0) sequence.  No Stirling row is built
+  or cached for a Bell number.
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
@@ -130,16 +136,52 @@ def rows(family: Family) -> Iterator[list[int]]:
     return _weighted_walk(family, [1])
 
 
+# (log2 c, d) of each Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k);
+# W(m) = sum_k 2^(m-k) S(m,k) is the sequence of c = 2, d = 0
+_BELL_REC = {Family.CLASSICAL: (0, 0), Family.TYPE_B: (1, 1)}
+
+
+def _bell_walk(shift: int, d: int) -> Iterator[int]:
+    """X(0) = 1, X(1), ... from the array a(n,0) = X(n),
+    a(n,j) = a(n,j-1) + c a(n-1,j-1), c = 2^shift, whose last cell
+    a(n,n) = sum_k C(n,k) c^(n-k) X(k).  Row n overwrites row n - 1 in place."""
+    x, row = 1, []
+    while True:
+        yield x
+        acc = x
+        for j, prev in enumerate(row):
+            row[j] = acc
+            acc += prev << shift
+        row.append(acc)
+        x = d * x + acc
+
+
+def bells(family: Family) -> Iterator[int]:
+    """The family's Bell numbers X(0), X(1), X(2), ... from its Bell
+    recurrence, holding one array row and no Stirling row."""
+    if family is Family.TYPE_D:
+        # D(n) = B(n) - n W(n-1), and D(0) = B(0)
+        w_before = chain([0], _bell_walk(1, 0))
+        return map(lambda n, b, w: b - n * w, count(), bells(Family.TYPE_B), w_before)
+    return _bell_walk(*_lookup(_BELL_REC, family))
+
+
+def _nth_bell(family: Family, n: int) -> int:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return next(islice(bells(family), n, None))
+
+
 def bell_a(n: int) -> int:
-    return sum(_row(Family.CLASSICAL, n))
+    return _nth_bell(Family.CLASSICAL, n)
 
 
 def bell_b(n: int) -> int:
-    return sum(_row(Family.TYPE_B, n))
+    return _nth_bell(Family.TYPE_B, n)
 
 
 def bell_d(n: int) -> int:
-    return sum(_row(Family.TYPE_D, n))
+    return _nth_bell(Family.TYPE_D, n)
 
 
 _STIRLING_FN = {

@@ -50,13 +50,16 @@ def test_table_json_format(capsys):
 
 
 def test_commands_reading_rows_in_order_leave_caches_empty(capsys, monkeypatch):
-    # table, oracle-check and egf-check walk the rows; the caches are for
-    # random access, so filling them would keep every row for the process
+    # table, oracle-check and egf-check walk the rows, and the Bell numbers
+    # of table and dobinski come from the Bell recurrences; the caches are
+    # for random access, so filling them would keep every row for the process
     monkeypatch.setattr(triangles, "_rows_classical", [])
     monkeypatch.setattr(triangles, "_rows_b", [])
     for argv in (
         ["table", "bell-b", "--rows", "50"],
+        ["table", "bell-d", "--rows", "50"],
         ["table", "stirling-d", "--rows", "50"],
+        ["dobinski", "b", "40", "1/2"],
         ["oracle-check", "4"],
         ["egf-check", "12"],
     ):

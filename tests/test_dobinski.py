@@ -25,6 +25,14 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(F(2), F(1))
 
+    def test_make_and_replace_enforce_ordering(self):
+        with pytest.raises(ValueError):
+            Interval._make((F(2), F(1)))
+        with pytest.raises(ValueError):
+            Interval(F(1), F(2))._replace(lo=F(3))
+        assert Interval._make((F(1), F(2))) == Interval(F(1), F(2))
+        assert Interval(F(1), F(2))._replace(hi=F(3)) == Interval(F(1), F(3))
+
     def test_contains(self):
         assert Interval(F(1), F(2)).contains(F(3, 2))
         assert not Interval(F(1), F(2)).contains(F(3))

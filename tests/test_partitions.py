@@ -17,6 +17,7 @@ from bellpart.partitions import (
     count_single_positive_zero_block,
     enum_classical,
     enum_signed,
+    signed_text_groups,
 )
 from bellpart.triangles import (
     Family,
@@ -66,8 +67,23 @@ class TestSigned:
     def test_classical_family_rejected(self):
         # and any value that is not a signed Family, such as its string value
         for family in (Family.CLASSICAL, "b", "d", None):
-            with pytest.raises(ValueError):
-                next(enum_signed(2, family))
+            for walk in (enum_signed, signed_text_groups):
+                with pytest.raises(ValueError):
+                    next(walk(2, family))
+
+    @pytest.mark.parametrize("family", [Family.TYPE_B, Family.TYPE_D])
+    @pytest.mark.parametrize("n", range(7))
+    def test_text_groups_equal_rendered_partitions(self, family, n):
+        for pairs in (None, *range(n + 2)):
+            expected = "\n".join(
+                p.render_text()
+                for p in enum_signed(n, family)
+                if pairs is None or p.num_pairs == pairs
+            )
+            groups = list(signed_text_groups(n, family, pairs))
+            assert "\n".join(line for lines in groups for line in lines) == expected
+            # a group is one unsigned partition's 2^(n - |zero| - k) sign choices
+            assert all(len(lines) & (len(lines) - 1) == 0 for lines in groups)
 
     def test_d1_single_partition(self):
         parts = list(enum_signed(1, Family.TYPE_D))

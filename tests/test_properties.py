@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bellpart.dobinski import dobinski_a, dobinski_b, dobinski_d
 from bellpart.partitions import canonicalize, enum_signed
 from bellpart.series import egf_triangle
-from bellpart.triangles import Family, bell_a, bell_b, bell_d, stirling_row
+from bellpart.triangles import Family, bell, bell_a, bell_b, bell_d, stirling_row
 
 
 @given(st.sampled_from(Family), st.integers(0, 30))
@@ -17,6 +17,13 @@ from bellpart.triangles import Family, bell_a, bell_b, bell_d, stirling_row
 def test_row_matches_egf_triangle(family, n):
     # the generating function shares no code with the row recurrences
     assert stirling_row(family, n) == egf_triangle(family, n)[n]
+
+
+@given(st.sampled_from(Family), st.integers(0, 120))
+@settings(max_examples=25, deadline=None)
+def test_bell_recurrence_matches_row_sum(family, n):
+    # bell reads the Bell recurrence; the row comes from the row walk
+    assert bell(family, n) == sum(stirling_row(family, n))
 
 
 @given(st.integers(0, 80))

@@ -1,6 +1,7 @@
 """Recurrence values against the published tables, plus identity suites."""
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,9 @@ from bellpart.triangles import (
     bell_d,
     d_recurrence_terms,
     bell,
+    bells,
     extend_weighted_rows,
+    rows,
     stirling,
     stirling2,
     stirling_b,
@@ -80,6 +83,13 @@ def test_bell_values_at_8():
     assert bell_a(8) == 4140
     assert bell_b(8) == 219920
     assert bell_d(8) == 137528
+    assert [next(islice(bells(f), 8, None)) for f in Family] == [4140, 219920, 137528]
+
+
+@pytest.mark.parametrize("family", Family)
+def test_bells_equal_row_sums(family):
+    # the Bell recurrence shares no code with the row walk
+    assert list(islice(bells(family), 301)) == [sum(row) for row in islice(rows(family), 301)]
 
 
 def test_out_of_range_is_zero():
