@@ -7,28 +7,28 @@ Number families, each selected by a ``Family``:
 * ``stirling_b(n, k)`` -- type-B analogue, recurrence
   ``S_B(n,k) = S_B(n-1,k-1) + (2k+1) S_B(n-1,k)``
 * ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
-  ``S_D(n,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k)``, uncached
+  ``S_D(n,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k)``, anew on each read
 * ``bell_a / bell_b / bell_d`` -- the corresponding row sums, each the n-th
   term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
   It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
   (c, d) = (1, 0) classical and (2, 1) type B, as one in-place array of
   additions (Aitken's, generalised to the weight c), and gives
   D(n) = B(n) - n W(n-1), W the (2, 0) sequence.  No Stirling row is built
-  or cached for a Bell number.
+  for a Bell number.
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
-Random access reads row n through ``_row(family, n)``, from the classical
-and B row caches; ``rows(family)`` walks rows 0, 1, 2, ... without them.
+Random access reads row n through ``_row(family, n)``, which walks on from the
+last two rows it read; ``rows(family)`` walks rows 0, 1, 2, ... in order.
 Rows and Bell numbers exist for n >= 0 only: a negative n raises ValueError,
 and a family that is not a ``Family`` raises ValueError.
 """
 
 from __future__ import annotations
 
-import threading
+from collections import deque
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -39,7 +39,7 @@ class Family(Enum):
     TYPE_D = "d"
 
 
-# (a, b) of the weight w(k) = a + b k in each cached family's row step
+# (a, b) of the weight w(k) = a + b k in each walked family's row step
 _WEIGHTS = {Family.CLASSICAL: (0, 1), Family.TYPE_B: (1, 2)}
 
 
@@ -62,30 +62,17 @@ def _weighted_walk(family: Family, row: list[int]) -> Iterator[list[int]]:
 
 def extend_weighted_rows(rows: list[list[int]], family: Family, n_max: int) -> list[list[int]]:
     """Extend ``rows`` (empty or a valid prefix) to rows 0..n_max from ``_weighted_walk``,
-    which starts at the last row held."""
-    if not rows:
-        rows.append([1])
-    rows.extend(islice(_weighted_walk(family, rows[-1]), 1, max(1, n_max + 2 - len(rows))))
+    which starts at the last row held, or at row 0, and hands it back first."""
+    walk = _weighted_walk(family, rows.pop() if rows else [1])
+    rows.extend(islice(walk, max(1, n_max + 1 - len(rows))))
     return rows
 
 
-# Row caches for random access, extended bottom-up on demand.  Compute-then-
-# publish under a lock so concurrent readers never observe a half-built row.
-_lock = threading.Lock()
+# The windows of random access: the last two consecutive classical and B rows
+# that ``_row`` read.  A read replaces a whole window in one step, and no row
+# is changed once handed out, so concurrent readers need no lock.
 _rows_classical: list[list[int]] = []
 _rows_b: list[list[int]] = []
-
-
-def _cached_rows(family: Family, n: int) -> list[list[int]]:
-    """The cache of the classical or type-B rows, holding at least rows 0..n.
-    A negative n would index the cache from its end, so it raises."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    rows = _lookup({Family.CLASSICAL: _rows_classical, Family.TYPE_B: _rows_b}, family)
-    if len(rows) <= n:
-        with _lock:
-            extend_weighted_rows(rows, family, n)
-    return rows
 
 
 def _d_from(n: int, b_row: list[int], prev_row: list[int]) -> list[int]:
@@ -100,12 +87,21 @@ def _d_from(n: int, b_row: list[int], prev_row: list[int]) -> list[int]:
 
 
 def _row(family: Family, n: int) -> list[int]:
-    """Row n of the family's triangle: the cached list itself for classical
-    and type B, so callers must not change it, and a new list for type D."""
+    """Row n of the family's triangle: a new list for type D, else maybe one the
+    window holds, so callers must not change it.  A row not held is walked to
+    from the window's last row, or from row 0 when n is below it."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if family is Family.TYPE_D:
-        prev_row = _cached_rows(Family.CLASSICAL, n - 1)[n - 1] if n else []
-        return _d_from(n, _cached_rows(Family.TYPE_B, n)[n], prev_row)
-    return _cached_rows(family, n)[n]
+        return _d_from(n, _row(Family.TYPE_B, n), _row(Family.CLASSICAL, n - 1) if n else [])
+    held = _lookup({Family.CLASSICAL: _rows_classical, Family.TYPE_B: _rows_b}, family)
+    # row m has m + 1 cells; held[:] is one snapshot while others publish
+    window = [row for row in held[:] if len(row) <= n + 1] or [[1]]
+    if len(window[-1]) <= n:
+        walk = islice(_weighted_walk(family, window[-1]), 1, n + 2 - len(window[-1]))
+        window += deque(walk, maxlen=2)
+        held[:] = window[-2:]
+    return window[-1]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -127,8 +123,8 @@ def stirling_d(n: int, k: int) -> int:
 
 
 def rows(family: Family) -> Iterator[list[int]]:
-    """Rows 0, 1, 2, ... of the family's triangle, holding no cache, only what
-    the next row needs: the row before, or for type D B row n and classical
+    """Rows 0, 1, 2, ... of the family's triangle, holding only what the next
+    row needs: the row before, or for type D B row n and classical
     row n - 1.  The next classical or B row is built from the one handed out,
     so change a row only after drawing the next."""
     if family is Family.TYPE_D:
@@ -204,8 +200,7 @@ def stirling(family: Family, n: int, k: int) -> int:
 def stirling_row(family: Family, n: int) -> list[int]:
     """Row n of the family's triangle, ``[S(n, 0), ..., S(n, n)]``.
 
-    The list is a new copy, so callers may change it without touching the
-    cache.
+    The list is a new copy, so callers may change it freely.
     """
     return list(_row(family, n))
 
@@ -228,20 +223,25 @@ class IdentityReport(NamedTuple):
     values: Optional[tuple[tuple[int, int], ...]] = None
 
 
+def _weighted_sum(row: list[int]) -> int:
+    """W(m) = sum_k 2^(m-k) S(m,k) from classical row m."""
+    return sum(s << (len(row) - 1 - k) for k, s in enumerate(row))
+
+
 class _Tables:
     """What the identities read for n <= n_max, each piece built once per call.
 
-    The classical and B rows are the caches themselves, not copies, and a D
-    row is built by ``_row`` where it is read.  Every other table is built
-    on first use, so a check builds only what it reads.
+    The classical and B rows 0..n_max are walked for the call alone, and a D
+    row is built from them where it is read.  Every other table is built on
+    first use, so a check builds only what it reads.
     """
 
     def __init__(self, n_max: int):
+        if n_max < 0:
+            raise ValueError(f"n must be >= 0, got {n_max}")
         self.n_max = n_max
-        self.classical = _cached_rows(Family.CLASSICAL, n_max)
-        self.b = _cached_rows(Family.TYPE_B, n_max)
-        # W is kept value by value, so that the defect at n costs one row
-        self.w = cache(self._weighted_sum)
+        self.classical = extend_weighted_rows([], Family.CLASSICAL, n_max)
+        self.b = extend_weighted_rows([], Family.TYPE_B, n_max)
 
     @cached_property
     def pascal(self) -> list[list[int]]:
@@ -257,11 +257,14 @@ class _Tables:
 
     @cached_property
     def bell_d(self) -> list[int]:
-        return [sum(_row(Family.TYPE_D, n)) for n in range(self.n_max + 1)]
+        return [sum(self.d_row(n)) for n in range(self.n_max + 1)]
 
-    def _weighted_sum(self, m: int) -> int:
-        """W(m) = sum_k 2^(m-k) S(m,k)."""
-        return sum(s << (m - k) for k, s in enumerate(self.classical[m]))
+    @cached_property
+    def w(self) -> list[int]:
+        return [_weighted_sum(row) for row in self.classical]
+
+    def d_row(self, n: int) -> list[int]:
+        return _d_from(n, self.b[n], self.classical[n - 1] if n else [])
 
     def b_binomial_sum(self, n: int) -> int:
         """sum_k 2^k C(n,k) B(n-k)."""
@@ -269,16 +272,12 @@ class _Tables:
 
     def unsigned_groups(self, n: int) -> list[int]:
         """C(n,i) W(n-i) for i = 1..n."""
-        return [c * self.w(n - i) for i, c in enumerate(self.pascal[n][1:], 1)]
+        return [c * self.w[n - i] for i, c in enumerate(self.pascal[n][1:], 1)]
 
     def d_groups(self, n: int) -> tuple[list[int], list[int]]:
         """The unsigned groups and the groups 2^k C(n,k) D(n-k), k = 0..n."""
         bells = [(c * self.bell_d[n - k]) << k for k, c in enumerate(self.pascal[n])]
         return self.unsigned_groups(n), bells
-
-    def defect(self, n: int) -> int:
-        """n W(n-1), the closed form of B(n) - D(n) for n >= 1."""
-        return n * self.w(n - 1)
 
     def b_from_classical(self, n: int) -> list[int]:
         """sum_i 2^(i-k) C(n,i) S(i,k) for k = 0..n."""
@@ -299,7 +298,7 @@ def single_positive_zero_block_formula(n: int) -> int:
     """Closed formula n * sum_k 2^(n-1-k) S(n-1,k) for n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _Tables(n).defect(n)
+    return n * _weighted_sum(_row(Family.CLASSICAL, n - 1))
 
 
 def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
@@ -324,7 +323,7 @@ class _Identity(NamedTuple):
 
 _IDENTITIES = {
     "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n)), rows=True),
-    "D_FROM_B": _Identity(lambda n, t: (_row(Family.TYPE_D, n), t.d_from_b(n)), rows=True),
+    "D_FROM_B": _Identity(lambda n, t: (t.d_row(n), t.d_from_b(n)), rows=True),
     "B_BELL_REC": _Identity(
         lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.b_binomial_sum(n)), shift=1
     ),
@@ -338,9 +337,10 @@ _IDENTITIES = {
         lambda n, t: (t.bell_d[n + 1], sum(map(sum, t.d_groups(n)))), shift=1
     ),
     "ZERO_BLOCK_DEFECT": _Identity(
-        lambda n, t: (t.bell_b[n] - t.bell_d[n], t.defect(n)), first_n=1
+        # n W(n-1), the closed form of B(n) - D(n) for n >= 1
+        lambda n, t: (t.bell_b[n] - t.bell_d[n], n * t.w[n - 1]), first_n=1
     ),
-    "THM_4_7": _Identity(lambda n, t: (sum(t.unsigned_groups(n)), t.bell_b[n] - t.w(n))),
+    "THM_4_7": _Identity(lambda n, t: (sum(t.unsigned_groups(n)), t.bell_b[n] - t.w[n])),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
@@ -351,8 +351,8 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
 
     Both sides are counts, so a left side that differs from the right side
     or is negative fails.  Each side reads tables built once for the call:
-    the cached classical and B rows, the Pascal rows and the sequences
-    B(n), D(n) and W(m) = sum_k 2^(m-k) S(m,k).
+    the classical and B rows, the Pascal rows and the sequences B(n), D(n)
+    and W(m) = sum_k 2^(m-k) S(m,k).
 
     D_FROM_B and ZERO_BLOCK_DEFECT restate how a D row is built, so a wrong
     classical or B cell moves both of their sides alike; only ``oracle-check``

@@ -50,9 +50,9 @@ def test_table_json_format(capsys):
 
 
 def test_commands_reading_rows_in_order_leave_caches_empty(capsys, monkeypatch):
-    # table, oracle-check and egf-check walk the rows, and the Bell numbers
-    # of table and dobinski come from the Bell recurrences; the caches are
-    # for random access, so filling them would keep every row for the process
+    # table, oracle-check and egf-check walk the rows, the Bell numbers of
+    # table and dobinski come from the Bell recurrences, and verify walks rows
+    # of its own for each call; the windows are for random access alone
     monkeypatch.setattr(triangles, "_rows_classical", [])
     monkeypatch.setattr(triangles, "_rows_b", [])
     for argv in (
@@ -62,6 +62,7 @@ def test_commands_reading_rows_in_order_leave_caches_empty(capsys, monkeypatch):
         ["dobinski", "b", "40", "1/2"],
         ["oracle-check", "4"],
         ["egf-check", "12"],
+        ["verify", "all", "--max-n", "20"],
     ):
         code, _ = run(capsys, *argv)
         assert code == 0
@@ -360,12 +361,9 @@ def test_internal_error_exits_3(capsys, monkeypatch):
         ("B_BELL_REC", (3, 1, 14), "B_BELL_REC: FAIL at n=2: lhs=25 rhs=24"),
     ],
 )
-def test_verify_failure_line_and_exit_code(capsys, monkeypatch, ident, cell, line):
-    # B rows 0..8 with cell (n, k) set wrong; verify reads only rows <= 6
-    n, k, value = cell
-    rows = triangles.extend_weighted_rows([], Family.TYPE_B, 8)
-    rows[n][k] = value
-    monkeypatch.setattr(triangles, "_rows_b", rows)
+def test_verify_failure_line_and_exit_code(capsys, wrong_cell, ident, cell, line):
+    # B cell (n, k) walked wrong; every later B row is still the true one
+    wrong_cell(Family.TYPE_B, *cell)
     code, out = run(capsys, "verify", ident, "--max-n", "5")
     assert code == 1
     assert out.splitlines()[-1] == line

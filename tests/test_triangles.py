@@ -1,6 +1,9 @@
 """Recurrence values against the published tables, plus identity suites."""
 
 import math
+import random
+import sys
+import threading
 from itertools import islice
 
 import pytest
@@ -102,7 +105,7 @@ def test_out_of_range_is_zero():
 @pytest.mark.parametrize("fn", [bell_a, bell_b, bell_d])
 @pytest.mark.parametrize("n", [-1, -2])
 def test_bell_negative_n_raises(fn, n):
-    fn(5)  # with rows cached, a negative index would read a cached row
+    fn(5)  # after a valid call, a negative n must still raise
     with pytest.raises(ValueError):
         fn(n)
 
@@ -185,7 +188,7 @@ def test_stirling_row_matches_cells(family):
         assert stirling_row(family, n) == [stirling(family, n, k) for k in range(n + 1)]
     with pytest.raises(ValueError):
         stirling_row(family, -1)
-    # the in-order walk, which builds its rows without the caches
+    # the in-order walk, which builds its rows apart from the windows
     for n, row in zip(range(61), triangles.rows(family)):
         assert row == stirling_row(family, n)
 
@@ -203,9 +206,47 @@ def test_stirling_row_is_a_copy(family):
     assert stirling_row(family, n) == cells
 
 
+def test_concurrent_random_reads():
+    # 8 threads read rows at random n, each read walking from, or
+    # replacing, the windows the others are reading
+    true_rows = {family: list(islice(triangles.rows(family), 151)) for family in Family}
+    reads = [
+        [(rng.choice(list(Family)), rng.randint(0, 150)) for _ in range(12)]
+        for rng in map(random.Random, range(8))
+    ]
+    results = [[] for _ in reads]
+    start = threading.Barrier(len(reads))
+
+    def reader(mine, out):
+        start.wait(timeout=30)
+        out.extend(stirling_row(family, n) for family, n in mine)
+
+    threads = [threading.Thread(target=reader, args=pair) for pair in zip(reads, results)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for mine, out in zip(reads, results):
+        assert out == [true_rows[family][n] for family, n in mine]
+
+
+def test_windows_hold_two_rows(monkeypatch):
+    monkeypatch.setattr(triangles, "_rows_classical", [])
+    monkeypatch.setattr(triangles, "_rows_b", [])
+    assert sum(stirling_row(Family.TYPE_D, 300)) == bell_d(300)
+    assert [len(row) for row in triangles._rows_b] == [300, 301]
+    assert [len(row) for row in triangles._rows_classical] == [299, 300]
+
+
 @pytest.mark.parametrize("family", ["b", "d", None])
 def test_non_family_raises(family):
-    # with B rows cached, a stray family must raise, not read the B cache
+    # with B rows in the window, a stray family must raise, not read them
     stirling_row(Family.TYPE_B, 5)
     for call in (
         lambda: stirling_row(family, 3),
@@ -291,37 +332,27 @@ def test_b_from_classical_pointwise(n, k):
     )
 
 
-def _corrupted_b_rows(n_max: int, n: int, k: int, value: int) -> list[list[int]]:
-    """Type-B rows 0..n_max, built afresh, with cell (n, k) set to ``value``."""
-    rows = extend_weighted_rows([], Family.TYPE_B, n_max)
-    rows[n][k] = value
-    return rows
-
-
 class TestIdentityFailures:
-    # The B rows are built past n_max before the cell is changed, so no
-    # later row is built from the wrong one.
+    # One B cell is walked wrong; every later B row is still the true one.
 
-    def test_row_identity_reports_first_cell(self, monkeypatch):
-        monkeypatch.setattr(triangles, "_rows_b", _corrupted_b_rows(8, 0, 0, 2))
+    def test_row_identity_reports_first_cell(self, wrong_cell):
+        wrong_cell(Family.TYPE_B, 0, 0, 2)
         report = verify_identity("D_FROM_B", 5)
         assert not report.status
         assert report.first_failure == (0, 0, 1, 2)
         assert report.values is None
 
-    def test_recurrence_reports_base_index(self, monkeypatch):
-        monkeypatch.setattr(triangles, "_rows_b", _corrupted_b_rows(8, 3, 1, 14))
+    def test_recurrence_reports_base_index(self, wrong_cell):
+        wrong_cell(Family.TYPE_B, 3, 1, 14)
         report = verify_identity("B_BELL_REC", 5)
         assert not report.status
         assert report.first_failure == (2, None, 25, 24)
         assert report.values == ((1, 2), (2, 6), (3, 24))
 
 
-def test_wrong_classical_cell(monkeypatch):
-    # S(4,2) read as 8, not 7; rows are built past n_max first, as above
-    rows = extend_weighted_rows([], Family.CLASSICAL, 8)
-    rows[4][2] = 8
-    monkeypatch.setattr(triangles, "_rows_classical", rows)
+def test_wrong_classical_cell(wrong_cell):
+    # S(4,2) read as 8, not 7; classical row 5 is still built from the true row 4
+    wrong_cell(Family.CLASSICAL, 4, 2, 8)
     assert verify_identity("B_FROM_CLASSICAL", 6).first_failure == (4, 2, 58, 62)
     # W(4) = sum_k 2^(4-k) S(4,k) reads 53, not 49: rhs B(4) - W(4) = 116 - 53
     assert verify_identity("THM_4_7", 6).first_failure == (4, None, 67, 63)
