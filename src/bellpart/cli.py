@@ -8,12 +8,14 @@ underflows; the traceback goes to stderr), 141 stdout closed by its
 reader (as a shell reports a tool ended by SIGPIPE; nothing goes to
 stderr).
 Results go to stdout, diagnostics to stderr.
-partitions, series, json and traceback are imported only where they are used.
+partitions, series, json and traceback are imported only where they are used;
+``table`` needs none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import os
 import sys
 from fractions import Fraction
@@ -37,25 +39,46 @@ _DOBINSKI_FN = {
 }
 
 
+# The context of `table`'s triangle walk: no precision or exponent limit in
+# reach, and a cell that would be rounded raises instead (exit 3).
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+
 def cmd_table(args) -> int:
     family, is_triangle = _TABLE_FAMILIES[args.family]
-    if args.format == "json":
-        import json
-    sep = "\t" if args.format == "tsv" else " "
-    walk, key = (triangles.rows, "cells") if is_triangle else (triangles.bells, "value")
-    for n, item in zip(range(args.rows + 1), walk(family)):
-        if args.format == "json":
-            print(json.dumps({"n": n, key: item}, separators=(",", ":")))
-        else:
-            print(sep.join(map(str, item if is_triangle else (n, item))))
+    as_json = args.format == "json"
+    sep = "," if as_json else "\t" if args.format == "tsv" else " "
+    if is_triangle:
+        # The rows are walked in Decimal, which prints in time linear in the
+        # digits, where int -> str takes quadratic time.
+        with decimal.localcontext(_EXACT):
+            for n, row in zip(range(args.rows + 1), triangles.rows(family, decimal.Decimal(1))):
+                cells = sep.join(map(str, row))
+                print(f'{{"n":{n},"cells":[{cells}]}}' if as_json else cells)
+    else:
+        # the Bell walk is bound by its arithmetic, which is faster in ints
+        for n, value in zip(range(args.rows + 1), triangles.bells(family)):
+            print(f'{{"n":{n},"value":{value}}}' if as_json else f"{n}{sep}{value}")
     return 0
 
 
 def cmd_verify(args) -> int:
     ids = triangles.IDENTITY_IDS if args.identity == "all" else (args.identity,)
+    tables = triangles._Tables(args.max_n)
     ok = True
     for ident in ids:
-        report = triangles.verify_identity(ident, args.max_n)
+        report = triangles.verify_identity(ident, args.max_n, tables)
         if report.status:
             print(f"{ident}: PASS (n <= {args.max_n})")
             if report.values is not None and args.identity != "all":

@@ -163,15 +163,20 @@ def signed_text_groups(n: int, family: Family, pairs: int | None = None) -> Iter
     """The ``render_text`` lines of ``enum_signed(n, family)``, in its order,
     as one list per unsigned partition of the walk; with ``pairs`` set, only
     the partitions of that many pairs.  No partition object is built: the
-    zero string and each block's pair strings are rendered once per group,
-    and a group of k blocks holds 2^(n - |zero support| - k) lines."""
+    zero string is rendered once per group, each distinct block's
+    ``" | p/-p"`` strings once per call, and a group of k blocks holds
+    2^(n - |zero support| - k) lines."""
+    block_texts: dict[tuple[int, ...], list[str]] = {}
     for zero_support, blocks in _walk(n, family):
         if pairs is not None and len(blocks) != pairs:
             continue
         lines = [_zero_text(zero_support)]
         for block in blocks:
-            texts = [_pair_text(rep) for rep in _signed_reps(block)]
-            lines = [f"{line} | {text}" for line in lines for text in texts]
+            texts = block_texts.get(block)
+            if texts is None:
+                texts = [" | " + _pair_text(rep) for rep in _signed_reps(block)]
+                block_texts[block] = texts
+            lines = [line + text for line in lines for text in texts]
         yield lines
 
 

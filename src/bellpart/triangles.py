@@ -7,7 +7,8 @@ Number families, each selected by a ``Family``:
 * ``stirling_b(n, k)`` -- type-B analogue, recurrence
   ``S_B(n,k) = S_B(n-1,k-1) + (2k+1) S_B(n-1,k)``
 * ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
-  ``S_D(n,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k)``, anew on each read
+  ``S_D(n,k) = S_B(n,k) - n U(n-1,k)``, anew on each read, where
+  ``U(m,k) = 2^(m-k) S(m,k)``
 * ``bell_a / bell_b / bell_d`` -- the corresponding row sums, each the n-th
   term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
   It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
@@ -18,6 +19,11 @@ Number families, each selected by a ``Family``:
 
 Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
+``rows(family, Decimal(1))`` walks the same row steps in ``decimal.Decimal``,
+for ``table``: a Decimal prints in time linear in its digits, where int -> str
+takes quadratic time.  Those cells are exact only because the CLI walks them
+in a context of the largest precision that traps ``Inexact`` and ``Rounded``,
+so a cell that would be rounded raises instead.
 Random access reads row n through ``_row(family, n)``, which walks on from the
 last two rows it read; ``rows(family)`` walks rows 0, 1, 2, ... in order.
 Rows and Bell numbers exist for n >= 0 only: a negative n raises ValueError,
@@ -30,6 +36,7 @@ from collections import deque
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
+from operator import add, mul, sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -51,13 +58,19 @@ def _lookup(table: dict, family: Family):
         raise ValueError(f"not a family: {family!r}") from None
 
 
-def _weighted_walk(family: Family, row: list[int]) -> Iterator[list[int]]:
-    """``row``, then each next row by ``T(n,k) = T(n-1,k-1) + w(k) T(n-1,k)``
-    with 0 outside row n - 1: w(k) = k classical, 2k + 1 type B.  An unknown
+def _walk(row: list, a, b) -> Iterator[list]:
+    """``row``, then each next row by ``T(n,k) = T(n-1,k-1) + (a + b k) T(n-1,k)``
+    with 0 outside row n - 1.  The cells, a and b are ints, or all Decimals."""
+    step = lambda prev, _: list(map(add, [0, *prev], map(mul, count(a, b), [*prev, 0])))
+    return accumulate(repeat(None), step, initial=row)
+
+
+def _weighted_walk(family: Family, row: list, one=1) -> Iterator[list]:
+    """``row``, then each next row by ``T(n,k) = T(n-1,k-1) + w(k) T(n-1,k)``:
+    w(k) = k classical, 2k + 1 type B, in multiples of ``one``.  An unknown
     family raises at the call, before any row is handed out."""
     a, b = _lookup(_WEIGHTS, family)
-    step = lambda prev, _: [x + w * y for x, w, y in zip([0, *prev], count(a, b), [*prev, 0])]
-    return accumulate(repeat(None), step, initial=row)
+    return _walk(row, a * one, b * one)
 
 
 def extend_weighted_rows(rows: list[list[int]], family: Family, n_max: int) -> list[list[int]]:
@@ -75,11 +88,18 @@ _rows_classical: list[list[int]] = []
 _rows_b: list[list[int]] = []
 
 
-def _d_from(n: int, b_row: list[int], prev_row: list[int]) -> list[int]:
-    """Type-D row n as a new list, from B row n and classical row n - 1 (empty
-    for n = 0): cell k < n is S_B(n,k) - n 2^(n-1-k) S(n-1,k), the last is 1."""
-    row = [b - n * (s << (n - 1 - k)) for k, (b, s) in enumerate(zip(b_row, prev_row))]
-    row.append(1)
+def _u_row(row: list[int]) -> list[int]:
+    """U(m,k) = 2^(m-k) S(m,k) for k = 0..m, from classical row m."""
+    m = len(row) - 1
+    return [s << (m - k) for k, s in enumerate(row)]
+
+
+def _d_from(n: int, b_row: list, u_prev: list, one=1) -> list:
+    """Type-D row n as a new list, from B row n and U row n - 1 (empty for
+    n = 0): cell k < n is S_B(n,k) - n U(n-1,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k),
+    the last is ``one``.  The cells are ints, or with ``one = Decimal(1)`` Decimals."""
+    row = list(map(sub, b_row, map(mul, repeat(n * one), u_prev)))
+    row.append(one)
     if min(row) < 0:
         k = next(k for k, value in enumerate(row) if value < 0)
         raise AssertionError(f"stirling_d underflow at (n={n}, k={k})")
@@ -93,7 +113,8 @@ def _row(family: Family, n: int) -> list[int]:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if family is Family.TYPE_D:
-        return _d_from(n, _row(Family.TYPE_B, n), _row(Family.CLASSICAL, n - 1) if n else [])
+        u_prev = _u_row(_row(Family.CLASSICAL, n - 1)) if n else []
+        return _d_from(n, _row(Family.TYPE_B, n), u_prev)
     held = _lookup({Family.CLASSICAL: _rows_classical, Family.TYPE_B: _rows_b}, family)
     # row m has m + 1 cells; held[:] is one snapshot while others publish
     window = [row for row in held[:] if len(row) <= n + 1] or [[1]]
@@ -122,14 +143,20 @@ def stirling_d(n: int, k: int) -> int:
     return _row(Family.TYPE_D, n)[k]
 
 
-def rows(family: Family) -> Iterator[list[int]]:
+def rows(family: Family, one=1) -> Iterator[list]:
     """Rows 0, 1, 2, ... of the family's triangle, holding only what the next
-    row needs: the row before, or for type D B row n and classical
-    row n - 1.  The next classical or B row is built from the one handed out,
-    so change a row only after drawing the next."""
+    row needs: the row before, or for type D B row n and U row n - 1.  The
+    next classical or B row is built from the one handed out, so change a row
+    only after drawing the next.
+
+    The cells are multiples of ``one``: ints, or with ``one = Decimal(1)``
+    Decimals, which are exact only in a context that rounds nothing."""
     if family is Family.TYPE_D:
-        return map(_d_from, count(), rows(Family.TYPE_B), chain([[]], rows(Family.CLASSICAL)))
-    return _weighted_walk(family, [1])
+        # U(n,k) = 2^(n-k) S(n,k) walks by U(n,k) = U(n-1,k-1) + 2k U(n-1,k)
+        u_before = chain([[]], _walk([one], 0 * one, 2 * one))
+        b_rows = _weighted_walk(Family.TYPE_B, [one], one)
+        return map(_d_from, count(), b_rows, u_before, repeat(one))
+    return _weighted_walk(family, [one], one)
 
 
 # (log2 c, d) of each Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k);
@@ -223,17 +250,13 @@ class IdentityReport(NamedTuple):
     values: Optional[tuple[tuple[int, int], ...]] = None
 
 
-def _weighted_sum(row: list[int]) -> int:
-    """W(m) = sum_k 2^(m-k) S(m,k) from classical row m."""
-    return sum(s << (len(row) - 1 - k) for k, s in enumerate(row))
-
-
 class _Tables:
-    """What the identities read for n <= n_max, each piece built once per call.
+    """What the identities read for n <= n_max, each piece built once.
 
-    The classical and B rows 0..n_max are walked for the call alone, and a D
-    row is built from them where it is read.  Every other table is built on
-    first use, so a check builds only what it reads.
+    The classical and B rows 0..n_max are walked for this object alone, which
+    one ``verify`` call shares among its identities, and a D row is built
+    from them where it is read.  Every other table is built on first use, so
+    the checks build only what they read.
     """
 
     def __init__(self, n_max: int):
@@ -260,11 +283,16 @@ class _Tables:
         return [sum(self.d_row(n)) for n in range(self.n_max + 1)]
 
     @cached_property
+    def u(self) -> list[list[int]]:
+        return list(map(_u_row, self.classical))
+
+    @cached_property
     def w(self) -> list[int]:
-        return [_weighted_sum(row) for row in self.classical]
+        """W(m) = sum_k 2^(m-k) S(m,k), the row sums of U."""
+        return list(map(sum, self.u))
 
     def d_row(self, n: int) -> list[int]:
-        return _d_from(n, self.b[n], self.classical[n - 1] if n else [])
+        return _d_from(n, self.b[n], self.u[n - 1] if n else [])
 
     def b_binomial_sum(self, n: int) -> int:
         """sum_k 2^k C(n,k) B(n-k)."""
@@ -298,7 +326,7 @@ def single_positive_zero_block_formula(n: int) -> int:
     """Closed formula n * sum_k 2^(n-1-k) S(n-1,k) for n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return n * _weighted_sum(_row(Family.CLASSICAL, n - 1))
+    return n * sum(_u_row(_row(Family.CLASSICAL, n - 1)))
 
 
 def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
@@ -346,13 +374,16 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
+def verify_identity(
+    identity_id: str, n_max: int, tables: Optional[_Tables] = None
+) -> IdentityReport:
     """Check one identity exactly for every n (and k where applicable) up to n_max.
 
     Both sides are counts, so a left side that differs from the right side
-    or is negative fails.  Each side reads tables built once for the call:
-    the classical and B rows, the Pascal rows and the sequences B(n), D(n)
-    and W(m) = sum_k 2^(m-k) S(m,k).
+    or is negative fails.  Each side reads tables built once: the classical
+    and B rows, the Pascal rows and the sequences B(n), D(n) and
+    W(m) = sum_k 2^(m-k) S(m,k).  They are built for the call, or read from
+    ``tables``, a ``_Tables(m)`` with m >= n_max that several calls share.
 
     D_FROM_B and ZERO_BLOCK_DEFECT restate how a D row is built, so a wrong
     classical or B cell moves both of their sides alike; only ``oracle-check``
@@ -361,7 +392,10 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")
-    tables = _Tables(n_max)
+    if tables is None:
+        tables = _Tables(n_max)
+    elif not 0 <= n_max <= tables.n_max:
+        raise ValueError(f"n_max must be in 0..{tables.n_max}, got {n_max}")
     identity = _IDENTITIES[identity_id]
 
     failure: Optional[tuple[int, Optional[int], int, int]] = None

@@ -25,10 +25,10 @@ def wrong_cell(monkeypatch):
             row[k] = value
             return row
 
-        def wrong_walk(walked, row):
+        def wrong_walk(walked, row, *one):
             if walked is not family:
-                return walk(walked, row)
-            return (changed(r) if len(r) == n + 1 else r for r in walk(walked, row))
+                return walk(walked, row, *one)
+            return (changed(r) if len(r) == n + 1 else r for r in walk(walked, row, *one))
 
         monkeypatch.setattr(triangles, "_weighted_walk", wrong_walk)
 

@@ -1,14 +1,16 @@
 """CLI surface: output formats, exit codes, round-trips."""
 
+import decimal
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bellpart import series, triangles
+from bellpart import cli, series, triangles
 from bellpart.cli import main
 from bellpart.triangles import Family, stirling, stirling_b
 
@@ -49,6 +51,65 @@ def test_table_json_format(capsys):
     assert rows[3] == {"n": 3, "cells": [1, 13, 9, 1]}
 
 
+def _int_table(family, n_max, fmt):
+    """The `table` output built from the int rows, as the CLI once printed it."""
+    lines = []
+    for n, row in zip(range(n_max + 1), triangles.rows(family)):
+        if fmt == "json":
+            lines.append(json.dumps({"n": n, "cells": row}, separators=(",", ":")))
+        else:
+            lines.append(("\t" if fmt == "tsv" else " ").join(map(str, row)))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "text"])
+@pytest.mark.parametrize(
+    "name, family",
+    [("stirling", Family.CLASSICAL), ("stirling-b", Family.TYPE_B), ("stirling-d", Family.TYPE_D)],
+)
+def test_decimal_table_bytes_equal_int_rows(capsys, name, family, fmt):
+    code, out = run(capsys, "table", name, "--rows", "120", "--format", fmt)
+    assert code == 0
+    assert out == _int_table(family, 120, fmt)
+
+
+def test_table_cell_past_precision_exits_3(capsys, monkeypatch):
+    # S_B(40, k) has up to 44 digits; a 20-digit context must raise, not round
+    small = cli._EXACT.copy()
+    small.prec = 20
+    monkeypatch.setattr(cli, "_EXACT", small)
+    assert main(["table", "stirling-b", "--rows", "40"]) == 3
+    captured = capsys.readouterr()
+    assert "decimal.Inexact" in captured.err or "decimal.Rounded" in captured.err
+    # rows up to the first that needs more digits were printed exactly
+    printed = captured.out.splitlines()
+    assert 0 < len(printed) < 41
+    assert printed == _int_table(Family.TYPE_B, len(printed) - 1, "tsv").splitlines()
+
+
+def test_table_leaves_decimal_context_unchanged(capsys):
+    before = decimal.getcontext()
+    state = (before.prec, before.Emax, before.Emin, dict(before.traps), dict(before.flags))
+    for name in ("stirling-d", "bell-d"):
+        code, _ = run(capsys, "table", name, "--rows", "30")
+        assert code == 0
+    after = decimal.getcontext()
+    assert after is before
+    assert (after.prec, after.Emax, after.Emin, dict(after.traps), dict(after.flags)) == state
+
+
+@pytest.mark.parametrize("name, family", [("stirling-b", Family.TYPE_B), ("stirling-d", Family.TYPE_D)])
+def test_table_shows_wrong_b_cell(capsys, wrong_cell, name, family):
+    # S_B(5, 2) read as 331, not 330; type D row 5 is built from B row 5, so
+    # S_D(5, 2) moves by one too, and no other cell moves
+    expected = [line.split("\t") for line in _int_table(family, 6, "tsv").splitlines()]
+    expected[5][2] = str(int(expected[5][2]) + 1)
+    wrong_cell(Family.TYPE_B, 5, 2, 331)
+    code, out = run(capsys, "table", name, "--rows", "6")
+    assert code == 0
+    assert [line.split("\t") for line in out.splitlines()] == expected
+
+
 def test_commands_reading_rows_in_order_leave_caches_empty(capsys, monkeypatch):
     # table, oracle-check and egf-check walk the rows, the Bell numbers of
     # table and dobinski come from the Bell recurrences, and verify walks rows
@@ -86,6 +147,23 @@ def test_verify_all(capsys):
     code, out = run(capsys, "verify", "all", "--max-n", "10")
     assert code == 0
     assert out.count("PASS") == 7
+
+
+def test_verify_all_walks_each_row_once(capsys, monkeypatch):
+    # the seven identities read one set of tables: rows 0..20 of each triangle
+    walk = triangles._weighted_walk
+    walked = Counter()
+
+    def counting_walk(family, row, *one):
+        for cells in walk(family, row, *one):
+            walked[family] += 1
+            yield cells
+
+    monkeypatch.setattr(triangles, "_weighted_walk", counting_walk)
+    code, out = run(capsys, "verify", "all", "--max-n", "20")
+    assert code == 0
+    assert out.count("PASS") == 7
+    assert walked == {Family.CLASSICAL: 21, Family.TYPE_B: 21}
 
 
 def test_verify_single_shows_values(capsys):
@@ -322,7 +400,7 @@ def test_egf_check_column_mismatch(capsys, monkeypatch):
 
 def test_egf_check_catches_cells_with_right_row_sum(capsys, monkeypatch):
     # classical row 4 is [0, 1, 7, 6, 1]; swapping two cells keeps its sum,
-    # and type D at order 4 reads classical rows 0..3 only
+    # and type D reads no classical row: it walks U(n,k) = 2^(n-k) S(n,k)
     real = triangles.rows
 
     def swapped(family):

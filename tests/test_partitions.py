@@ -72,9 +72,10 @@ class TestSigned:
                     next(walk(2, family))
 
     @pytest.mark.parametrize("family", [Family.TYPE_B, Family.TYPE_D])
-    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("n", range(8))
     def test_text_groups_equal_rendered_partitions(self, family, n):
-        for pairs in (None, *range(n + 2)):
+        # at n = 7 a block's pair strings are reused across many groups
+        for pairs in (None, 3) if n == 7 else (None, *range(n + 2)):
             expected = "\n".join(
                 p.render_text()
                 for p in enum_signed(n, family)
@@ -84,6 +85,21 @@ class TestSigned:
             assert "\n".join(line for lines in groups for line in lines) == expected
             # a group is one unsigned partition's 2^(n - |zero| - k) sign choices
             assert all(len(lines) & (len(lines) - 1) == 0 for lines in groups)
+
+    def test_interleaved_text_groups(self):
+        # two calls drawn from in turn each give their own lines
+        calls = [(5, Family.TYPE_B, None), (6, Family.TYPE_D, 2)]
+        walks = [signed_text_groups(*call) for call in calls]
+        lines = [[], []]
+        for pair in itertools.zip_longest(*walks):
+            for out, groups in zip(lines, pair):
+                out.extend(groups or ())
+        for out, (n, family, pairs) in zip(lines, calls):
+            assert out == [
+                p.render_text()
+                for p in enum_signed(n, family)
+                if pairs is None or p.num_pairs == pairs
+            ]
 
     def test_d1_single_partition(self):
         parts = list(enum_signed(1, Family.TYPE_D))

@@ -37,8 +37,9 @@ CALLS = {
     "egf-check": ["egf-check", "5"],
 }
 
-# neither the partition walk nor JSON output
-NO_PARTITIONS = {"table", "verify", "dobinski", "egf-check"}
+# neither the partition walk nor the json module: table builds its JSON
+# lines itself, since json cannot encode the Decimal cells it prints
+NO_PARTITIONS = {"table", "table-json", "verify", "dobinski", "egf-check"}
 
 
 def _child(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -68,7 +69,7 @@ def test_subcommand_loads_only_what_it_runs(name, bare_modules):
     if name in NO_PARTITIONS:
         assert not loaded & {"bellpart.partitions", "json"}
     assert ("bellpart.series" in loaded) == (name == "egf-check")
-    if name.endswith("-json"):
+    if name == "enumerate-json":
         assert "json" in loaded
 
 

@@ -278,6 +278,16 @@ class TestIdentities:
             row_sums = tuple((n, sum(stirling_row(family, n))) for n in range(1, n_max + 1))
             assert reports[ident].values == row_sums
 
+    def test_shared_tables(self):
+        # one walk serves every identity and every n_max it covers
+        tables = triangles._Tables(12)
+        for ident in triangles.IDENTITY_IDS:
+            for n_max in (0, 7, 12):
+                assert verify_identity(ident, n_max, tables) == verify_identity(ident, n_max)
+        for n_max in (-1, 13):
+            with pytest.raises(ValueError):
+                verify_identity("D_FROM_B", n_max, tables)
+
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             verify_identity("NO_SUCH_IDENTITY", 5)
