@@ -9,15 +9,16 @@ reader (as a shell reports a tool ended by SIGPIPE; nothing goes to
 stderr).
 Results go to stdout, diagnostics to stderr.
 partitions, series, json and traceback are imported only where they are used;
-``table`` needs none of them.
+``table`` needs none of them.  ``table stirling*`` prints the Decimal rows of
+``triangles.rows``, which builds them exactly in a context of its own.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from bellpart import dobinski, triangles
@@ -39,33 +40,17 @@ _DOBINSKI_FN = {
 }
 
 
-# The context of `table`'s triangle walk: no precision or exponent limit in
-# reach, and a cell that would be rounded raises instead (exit 3).
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[
-        decimal.InvalidOperation,
-        decimal.DivisionByZero,
-        decimal.Overflow,
-        decimal.Inexact,
-        decimal.Rounded,
-    ],
-)
-
-
 def cmd_table(args) -> int:
     family, is_triangle = _TABLE_FAMILIES[args.family]
     as_json = args.format == "json"
     sep = "," if as_json else "\t" if args.format == "tsv" else " "
     if is_triangle:
-        # The rows are walked in Decimal, which prints in time linear in the
-        # digits, where int -> str takes quadratic time.
-        with decimal.localcontext(_EXACT):
-            for n, row in zip(range(args.rows + 1), triangles.rows(family, decimal.Decimal(1))):
-                cells = sep.join(map(str, row))
-                print(f'{{"n":{n},"cells":[{cells}]}}' if as_json else cells)
+        # The rows are walked in exact Decimal, which prints in time linear in
+        # the digits, where int -> str takes quadratic time; a cell that would
+        # be rounded raises (exit 3).
+        for n, row in zip(range(args.rows + 1), triangles.rows(family, Decimal(1))):
+            cells = sep.join(map(str, row))
+            print(f'{{"n":{n},"cells":[{cells}]}}' if as_json else cells)
     else:
         # the Bell walk is bound by its arithmetic, which is faster in ints
         for n, value in zip(range(args.rows + 1), triangles.bells(family)):

@@ -8,7 +8,9 @@ Number families, each selected by a ``Family``:
   ``S_B(n,k) = S_B(n-1,k-1) + (2k+1) S_B(n-1,k)``
 * ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
   ``S_D(n,k) = S_B(n,k) - n U(n-1,k)``, anew on each read, where
-  ``U(m,k) = 2^(m-k) S(m,k)``
+  ``U(m,k) = 2^(m-k) S(m,k)``.  Rows read in order (``rows``, ``verify``)
+  come from one helper, ``_d_rows``, which walks U by its own recurrence;
+  random access shifts classical row n - 1 into U.
 * ``bell_a / bell_b / bell_d`` -- the corresponding row sums, each the n-th
   term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
   It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
@@ -21,9 +23,9 @@ Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
 arguments return 0 so identity sums can run over uniform index ranges.
 ``rows(family, Decimal(1))`` walks the same row steps in ``decimal.Decimal``,
 for ``table``: a Decimal prints in time linear in its digits, where int -> str
-takes quadratic time.  Those cells are exact only because the CLI walks them
-in a context of the largest precision that traps ``Inexact`` and ``Rounded``,
-so a cell that would be rounded raises instead.
+takes quadratic time.  Each such row is built in ``_EXACT``, a context of the
+largest precision that traps ``Inexact`` and ``Rounded``, so a cell that would
+be rounded raises instead; the caller's context is never changed.
 Random access reads row n through ``_row(family, n)``, which walks on from the
 last two rows it read; ``rows(family)`` walks rows 0, 1, 2, ... in order.
 Rows and Bell numbers exist for n >= 0 only: a negative n raises ValueError,
@@ -32,6 +34,7 @@ and a family that is not a ``Family`` raises ValueError.
 
 from __future__ import annotations
 
+import decimal
 from collections import deque
 from enum import Enum
 from functools import cached_property
@@ -106,6 +109,17 @@ def _d_from(n: int, b_row: list, u_prev: list, one=1) -> list:
     return row
 
 
+def _u_walk(one=1) -> Iterator[list]:
+    """U rows 0, 1, ...: U(m,k) = 2^(m-k) S(m,k) walks by
+    U(m,k) = U(m-1,k-1) + 2k U(m-1,k)."""
+    return _walk([one], 0 * one, 2 * one)
+
+
+def _d_rows(b_rows: Iterator[list], one=1) -> Iterator[list]:
+    """Type-D rows 0, 1, ... from B rows 0, 1, ... and the U walk."""
+    return map(_d_from, count(), b_rows, chain([[]], _u_walk(one)), repeat(one))
+
+
 def _row(family: Family, n: int) -> list[int]:
     """Row n of the family's triangle: a new list for type D, else maybe one the
     window holds, so callers must not change it.  A row not held is walked to
@@ -143,6 +157,22 @@ def stirling_d(n: int, k: int) -> int:
     return _row(Family.TYPE_D, n)[k]
 
 
+# The context each Decimal row is built in: no precision or exponent limit in
+# reach, and a cell that would be rounded raises instead.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+
 def rows(family: Family, one=1) -> Iterator[list]:
     """Rows 0, 1, 2, ... of the family's triangle, holding only what the next
     row needs: the row before, or for type D B row n and U row n - 1.  The
@@ -150,13 +180,22 @@ def rows(family: Family, one=1) -> Iterator[list]:
     only after drawing the next.
 
     The cells are multiples of ``one``: ints, or with ``one = Decimal(1)``
-    Decimals, which are exact only in a context that rounds nothing."""
+    Decimals, each row built in ``_EXACT``, so a cell that would be rounded
+    raises whatever the caller's context."""
     if family is Family.TYPE_D:
-        # U(n,k) = 2^(n-k) S(n,k) walks by U(n,k) = U(n-1,k-1) + 2k U(n-1,k)
-        u_before = chain([[]], _walk([one], 0 * one, 2 * one))
-        b_rows = _weighted_walk(Family.TYPE_B, [one], one)
-        return map(_d_from, count(), b_rows, u_before, repeat(one))
-    return _weighted_walk(family, [one], one)
+        walk = _d_rows(_weighted_walk(Family.TYPE_B, [one], one), one)
+    else:
+        walk = _weighted_walk(family, [one], one)
+    return _exact_rows(walk) if isinstance(one, decimal.Decimal) else walk
+
+
+def _exact_rows(walk: Iterator[list]) -> Iterator[list]:
+    """The rows of ``walk``, each built in the context ``_EXACT``; the
+    caller's context is back in place while it holds a row."""
+    while True:
+        with decimal.localcontext(_EXACT):
+            row = next(walk)
+        yield row
 
 
 # (log2 c, d) of each Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k);
@@ -253,18 +292,29 @@ class IdentityReport(NamedTuple):
 class _Tables:
     """What the identities read for n <= n_max, each piece built once.
 
-    The classical and B rows 0..n_max are walked for this object alone, which
-    one ``verify`` call shares among its identities, and a D row is built
-    from them where it is read.  Every other table is built on first use, so
-    the checks build only what they read.
+    Rows 0..n_max are walked for this object alone, which one ``verify``
+    call shares among its identities.  The D rows are ``_d_rows`` of these B
+    rows, as ``rows(TYPE_D)`` prints them; the classical rows, and W and
+    ``d_from_b`` read from them, are the reference D is checked against.
+    Every table is built on first use, so the checks build only what they read.
     """
 
     def __init__(self, n_max: int):
         if n_max < 0:
             raise ValueError(f"n must be >= 0, got {n_max}")
         self.n_max = n_max
-        self.classical = extend_weighted_rows([], Family.CLASSICAL, n_max)
-        self.b = extend_weighted_rows([], Family.TYPE_B, n_max)
+
+    @cached_property
+    def classical(self) -> list[list[int]]:
+        return extend_weighted_rows([], Family.CLASSICAL, self.n_max)
+
+    @cached_property
+    def b(self) -> list[list[int]]:
+        return extend_weighted_rows([], Family.TYPE_B, self.n_max)
+
+    @cached_property
+    def d(self) -> list[list[int]]:
+        return list(_d_rows(self.b))
 
     @cached_property
     def pascal(self) -> list[list[int]]:
@@ -276,23 +326,16 @@ class _Tables:
 
     @cached_property
     def bell_b(self) -> list[int]:
-        return [sum(self.b[n]) for n in range(self.n_max + 1)]
+        return list(map(sum, self.b))
 
     @cached_property
     def bell_d(self) -> list[int]:
-        return [sum(self.d_row(n)) for n in range(self.n_max + 1)]
-
-    @cached_property
-    def u(self) -> list[list[int]]:
-        return list(map(_u_row, self.classical))
+        return list(map(sum, self.d))
 
     @cached_property
     def w(self) -> list[int]:
-        """W(m) = sum_k 2^(m-k) S(m,k), the row sums of U."""
-        return list(map(sum, self.u))
-
-    def d_row(self, n: int) -> list[int]:
-        return _d_from(n, self.b[n], self.u[n - 1] if n else [])
+        """W(m) = sum_k 2^(m-k) S(m,k), from the classical rows."""
+        return [sum(_u_row(row)) for row in self.classical]
 
     def b_binomial_sum(self, n: int) -> int:
         """sum_k 2^k C(n,k) B(n-k)."""
@@ -351,7 +394,7 @@ class _Identity(NamedTuple):
 
 _IDENTITIES = {
     "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n)), rows=True),
-    "D_FROM_B": _Identity(lambda n, t: (t.d_row(n), t.d_from_b(n)), rows=True),
+    "D_FROM_B": _Identity(lambda n, t: (t.d[n], t.d_from_b(n)), rows=True),
     "B_BELL_REC": _Identity(
         lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.b_binomial_sum(n)), shift=1
     ),
@@ -380,15 +423,16 @@ def verify_identity(
     """Check one identity exactly for every n (and k where applicable) up to n_max.
 
     Both sides are counts, so a left side that differs from the right side
-    or is negative fails.  Each side reads tables built once: the classical
-    and B rows, the Pascal rows and the sequences B(n), D(n) and
+    or is negative fails.  Each side reads tables built once: the classical,
+    B and D rows, the Pascal rows and the sequences B(n), D(n) and
     W(m) = sum_k 2^(m-k) S(m,k).  They are built for the call, or read from
     ``tables``, a ``_Tables(m)`` with m >= n_max that several calls share.
 
-    D_FROM_B and ZERO_BLOCK_DEFECT restate how a D row is built, so a wrong
-    classical or B cell moves both of their sides alike; only ``oracle-check``
-    and ``egf-check``, which compares every row of all three triangles, check
-    the D rows independently.
+    The D rows are those ``rows(TYPE_D)`` yields, from the B rows and the U
+    walk, and D_FROM_B and ZERO_BLOCK_DEFECT compare them with the classical
+    rows, so a wrong classical or U cell fails both.  A wrong B cell moves
+    both sides of those two alike; B_FROM_CLASSICAL and the Bell identities
+    see it.
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")

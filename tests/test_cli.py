@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bellpart import cli, series, triangles
+from bellpart import series, triangles
 from bellpart.cli import main
 from bellpart.triangles import Family, stirling, stirling_b
 
@@ -75,9 +75,9 @@ def test_decimal_table_bytes_equal_int_rows(capsys, name, family, fmt):
 
 def test_table_cell_past_precision_exits_3(capsys, monkeypatch):
     # S_B(40, k) has up to 44 digits; a 20-digit context must raise, not round
-    small = cli._EXACT.copy()
+    small = triangles._EXACT.copy()
     small.prec = 20
-    monkeypatch.setattr(cli, "_EXACT", small)
+    monkeypatch.setattr(triangles, "_EXACT", small)
     assert main(["table", "stirling-b", "--rows", "40"]) == 3
     captured = capsys.readouterr()
     assert "decimal.Inexact" in captured.err or "decimal.Rounded" in captured.err
@@ -93,6 +93,12 @@ def test_table_leaves_decimal_context_unchanged(capsys):
     for name in ("stirling-d", "bell-d"):
         code, _ = run(capsys, "table", name, "--rows", "30")
         assert code == 0
+    # each row is built in the exact context, and the caller's is back in
+    # place while a row is held
+    walk = triangles.rows(Family.TYPE_B, decimal.Decimal(1))
+    for _ in range(31):
+        next(walk)
+        assert decimal.getcontext() is before
     after = decimal.getcontext()
     assert after is before
     assert (after.prec, after.Emax, after.Emin, dict(after.traps), dict(after.flags)) == state
@@ -149,21 +155,43 @@ def test_verify_all(capsys):
     assert out.count("PASS") == 7
 
 
-def test_verify_all_walks_each_row_once(capsys, monkeypatch):
-    # the seven identities read one set of tables: rows 0..20 of each triangle
-    walk = triangles._weighted_walk
+def _count_walked_rows(monkeypatch) -> Counter:
+    """A Counter of the rows walked from here on: by family, and "U" for the
+    U rows that the in-order D rows are built from."""
+    weighted_walk, u_walk = triangles._weighted_walk, triangles._u_walk
     walked = Counter()
 
-    def counting_walk(family, row, *one):
-        for cells in walk(family, row, *one):
+    def counted(family, walk):
+        for cells in walk:
             walked[family] += 1
             yield cells
 
-    monkeypatch.setattr(triangles, "_weighted_walk", counting_walk)
+    monkeypatch.setattr(
+        triangles,
+        "_weighted_walk",
+        lambda family, row, *one: counted(family, weighted_walk(family, row, *one)),
+    )
+    monkeypatch.setattr(triangles, "_u_walk", lambda *one: counted("U", u_walk(*one)))
+    return walked
+
+
+def test_verify_all_walks_each_row_once(capsys, monkeypatch):
+    # the seven identities read one set of tables: classical and B rows
+    # 0..20, and U rows 0..19, from which D rows 0..20 are built
+    walked = _count_walked_rows(monkeypatch)
     code, out = run(capsys, "verify", "all", "--max-n", "20")
     assert code == 0
     assert out.count("PASS") == 7
-    assert walked == {Family.CLASSICAL: 21, Family.TYPE_B: 21}
+    assert walked == {Family.CLASSICAL: 21, Family.TYPE_B: 21, "U": 20}
+
+
+def test_verify_walks_only_rows_read(capsys, monkeypatch):
+    # the B Bell recurrence reads the B rows alone
+    walked = _count_walked_rows(monkeypatch)
+    code, out = run(capsys, "verify", "B_BELL_REC", "--max-n", "20")
+    assert code == 0
+    assert out.startswith("B_BELL_REC: PASS")
+    assert walked == {Family.TYPE_B: 21}
 
 
 def test_verify_single_shows_values(capsys):

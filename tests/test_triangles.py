@@ -1,5 +1,6 @@
 """Recurrence values against the published tables, plus identity suites."""
 
+import decimal
 import math
 import random
 import sys
@@ -193,6 +194,16 @@ def test_stirling_row_matches_cells(family):
         assert row == stirling_row(family, n)
 
 
+@pytest.mark.parametrize("family", [Family.TYPE_B, Family.TYPE_D])
+def test_decimal_rows_exact_in_default_context(family):
+    # S_B(60, 2) has 42 digits, past the default precision of 28; the walk
+    # builds each Decimal row in its own exact context, whatever the caller's
+    with decimal.localcontext(decimal.Context()):
+        walk = zip(range(61), rows(family, decimal.Decimal(1)), rows(family))
+        for n, row, int_row in walk:
+            assert row == int_row
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_stirling_row_is_a_copy(family):
     n = 12
@@ -251,6 +262,7 @@ def test_non_family_raises(family):
     for call in (
         lambda: stirling_row(family, 3),
         lambda: triangles.rows(family),  # at the call, before any row
+        lambda: triangles.rows(family, decimal.Decimal(1)),
         lambda: stirling(family, 2, 1),
         lambda: bell(family, 3),
     ):
@@ -366,8 +378,8 @@ def test_wrong_classical_cell(wrong_cell):
     assert verify_identity("B_FROM_CLASSICAL", 6).first_failure == (4, 2, 58, 62)
     # W(4) = sum_k 2^(4-k) S(4,k) reads 53, not 49: rhs B(4) - W(4) = 116 - 53
     assert verify_identity("THM_4_7", 6).first_failure == (4, None, 67, 63)
-    # D(5) is built from classical row 4 by the defect formula itself, so
-    # both sides move alike; only the enumeration oracle sees this cell
-    report = verify_identity("ZERO_BLOCK_DEFECT", 6)
-    assert report.status and report.first_failure is None
-    assert dict(report.values)[5] == 5 * 53
+    # the D rows are built from the B rows and the U walk, not from the
+    # classical rows, so only the right sides move: 5 W(4) = 5 * 53, and
+    # S_B(5,2) - 5 2^2 S(4,2) = 330 - 160
+    assert verify_identity("ZERO_BLOCK_DEFECT", 6).first_failure == (5, None, 245, 5 * 53)
+    assert verify_identity("D_FROM_B", 6).first_failure == (5, 2, 190, 170)
