@@ -8,9 +8,11 @@ underflows; the traceback goes to stderr), 141 stdout closed by its
 reader (as a shell reports a tool ended by SIGPIPE; nothing goes to
 stderr).
 Results go to stdout, diagnostics to stderr.
-partitions, series, json and traceback are imported only where they are used;
-``table`` needs none of them.  ``table stirling*`` prints the Decimal rows of
-``triangles.rows``, which builds them exactly in a context of its own.
+partitions, series and traceback are imported only where they are used;
+``table`` needs none of them, and no subcommand needs json: ``table`` and
+``enumerate`` build their JSON lines themselves.  ``table stirling*``
+prints the Decimal rows of ``triangles.rows``, which builds them exactly in
+a context of its own.
 """
 
 from __future__ import annotations
@@ -79,18 +81,8 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from bellpart import partitions
-    family = Family(args.family)
-    if family is not Family.CLASSICAL and args.format == "text":
-        groups = partitions.signed_text_groups(args.n, family, args.pairs)
-    else:
-        if family is Family.CLASSICAL:
-            stream, size = partitions.enum_classical(args.n), lambda p: len(p.blocks)
-        else:
-            stream, size = partitions.enum_signed(args.n, family), lambda p: p.num_pairs
-        render = lambda p: p.render_text() if args.format == "text" else p.render_json()
-        groups = ([render(p)] for p in stream if args.pairs is None or size(p) == args.pairs)
-    count = 0
-    for lines in groups:
+    as_json, count = args.format == "json", 0
+    for lines in partitions.line_groups(args.n, Family(args.family), as_json, args.pairs):
         count += len(lines)
         print("\n".join(lines))
     print(f"count {count}")
@@ -198,7 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream partitions")
     p.add_argument("family", choices=sorted(f.value for f in Family))
     p.add_argument("n", type=_nonnegative_int)
-    p.add_argument("--pairs", type=_nonnegative_int, default=None)
+    p.add_argument(
+        "--pairs", type=_nonnegative_int, default=None,
+        help="only the partitions of this many pairs of blocks (blocks, for classical)",
+    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=cmd_enumerate)
 

@@ -9,6 +9,11 @@ element positive, representatives ordered by that minimum.
 
 Type D imposes that the zero-block has at least two positive elements or
 none (|zero_support| != 1); ``is_type_d`` holds that rule.
+
+Every family's partitions render in one notation per format, text or JSON
+(the bytes of ``json.dumps(..., separators=(",", ":"))``), which ``_ends``
+and ``_block_text`` write: ``line_groups`` for the CLI, ``render_text`` and
+``render_json`` for one partition.
 """
 
 from __future__ import annotations
@@ -32,14 +37,10 @@ class ClassicalSetPartition(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
 
     def render_text(self) -> str:
-        return " | ".join(",".join(str(x) for x in b) for b in self.blocks)
+        return _line(self.n, None, self.blocks, False)
 
     def render_json(self) -> str:
-        import json
-        return json.dumps(
-            {"n": self.n, "blocks": [list(b) for b in self.blocks]},
-            separators=(",", ":"),
-        )
+        return _line(self.n, None, self.blocks, True)
 
 
 class SignedSetPartition(NamedTuple):
@@ -52,26 +53,36 @@ class SignedSetPartition(NamedTuple):
         return len(self.pairs)
 
     def render_text(self) -> str:
-        return " | ".join([_zero_text(self.zero_support), *map(_pair_text, self.pairs)])
+        return _line(self.n, self.zero_support, self.pairs, False)
 
     def render_json(self) -> str:
-        import json
-        return json.dumps(
-            {
-                "n": self.n,
-                "zero_support": list(self.zero_support),
-                "pairs": [list(p) for p in self.pairs],
-            },
-            separators=(",", ":"),
-        )
+        return _line(self.n, self.zero_support, self.pairs, True)
 
 
-def _zero_text(zero_support: Sequence[int]) -> str:
-    return "0" + "".join(f",±{i}" for i in zero_support)
+def _ends(n: int, zero_support: Sequence[int] | None, as_json: bool) -> tuple[str, str]:
+    """A line's text before and after its blocks; a classical one has no zero_support."""
+    if zero_support is None:
+        return (f'{{"n":{n},"blocks":[', "]}") if as_json else ("", "")
+    if as_json:
+        return f'{{"n":{n},"zero_support":[{",".join(map(str, zero_support))}],"pairs":[', "]}"
+    return "0" + "".join(f",±{i}" for i in zero_support), ""
 
 
-def _pair_text(rep: Sequence[int]) -> str:
-    return ",".join(str(x) for x in rep) + "/" + ",".join(str(-x) for x in rep)
+def _block_text(rep: Sequence[int], signed: bool, as_json: bool, first: bool) -> str:
+    """A block and the separator before it, which a first block has only in
+    signed text, after the zero block; a text pair shows as ``p/-p``."""
+    text = ",".join(map(str, rep))
+    if as_json:
+        return f"[{text}]" if first else f",[{text}]"
+    if signed:
+        text += "/" + ",".join(str(-x) for x in rep)
+    return text if first and not signed else " | " + text
+
+
+def _line(n: int, zero_support: Sequence[int] | None, reps: Sequence, as_json: bool) -> str:
+    head, tail = _ends(n, zero_support, as_json)
+    signed = zero_support is not None
+    return head + "".join(_block_text(r, signed, as_json, not i) for i, r in enumerate(reps)) + tail
 
 
 def _rgs_blocks(elements: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -107,10 +118,7 @@ def _rgs_blocks(elements: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]
 
 def enum_classical(n: int) -> Iterator[ClassicalSetPartition]:
     """Each canonical partition of [n] exactly once; A(n) in total."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for blocks in _rgs_blocks(range(1, n + 1)):
-        yield ClassicalSetPartition(n, blocks)
+    return (ClassicalSetPartition(n, blocks) for _, blocks in _walk(n, Family.CLASSICAL))
 
 
 def is_type_d(zero_support: Sequence[int]) -> bool:
@@ -121,15 +129,16 @@ def is_type_d(zero_support: Sequence[int]) -> bool:
 def _walk(n: int, family: Family) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Each zero support of <n> in lexicographic order, with each unsigned
     partition of the rest of [n] in RGS order: the walk of ``enum_signed``.
-    TYPE_D skips the zero supports of exactly one element.  A negative n or
-    a family that is not signed raises ValueError at the first item."""
+    TYPE_D skips the zero supports of exactly one element; CLASSICAL takes
+    only the empty one, the walk of ``enum_classical``.  A negative n or a
+    value that is not a Family raises ValueError at the first item."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if family not in (Family.TYPE_B, Family.TYPE_D):
-        hint = "; use enum_classical" if family is Family.CLASSICAL else ""
-        raise ValueError(f"not a signed family: {family!r}{hint}")
+    if not isinstance(family, Family):
+        raise ValueError(f"not a family: {family!r}")
+    sizes = range(1) if family is Family.CLASSICAL else range(n + 1)
     subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
+        itertools.combinations(range(1, n + 1), r) for r in sizes
     )
     for zero_support in sorted(subsets):
         if family is Family.TYPE_D and not is_type_d(zero_support):
@@ -154,30 +163,36 @@ def enum_signed(n: int, family: Family) -> Iterator[SignedSetPartition]:
     lexicographic order, unsigned partitions of the rest in RGS order,
     then sign vectors in binary counting order (0 = positive).
     """
+    if family is Family.CLASSICAL:
+        raise ValueError(f"not a signed family: {family!r}; use enum_classical")
     for zero_support, blocks in _walk(n, family):
         for pairs in itertools.product(*map(_signed_reps, blocks)):
             yield SignedSetPartition(n, zero_support, pairs)
 
 
-def signed_text_groups(n: int, family: Family, pairs: int | None = None) -> Iterator[list[str]]:
-    """The ``render_text`` lines of ``enum_signed(n, family)``, in its order,
-    as one list per unsigned partition of the walk; with ``pairs`` set, only
-    the partitions of that many pairs.  No partition object is built: the
-    zero string is rendered once per group, each distinct block's
-    ``" | p/-p"`` strings once per call, and a group of k blocks holds
-    2^(n - |zero support| - k) lines."""
-    block_texts: dict[tuple[int, ...], list[str]] = {}
+def line_groups(n: int, family: Family, as_json: bool, pairs: int | None) -> Iterator[list[str]]:
+    """The ``render_json`` (``as_json``) or ``render_text`` lines of each
+    ``enum_classical(n)`` or ``enum_signed(n, family)`` partition with
+    ``pairs`` pairs (blocks, if classical; all if None), in that order, as
+    one list per unsigned partition of the walk, with no partition object
+    built: each distinct block's texts are rendered once per call."""
+    signed = family is not Family.CLASSICAL
+    later: dict[tuple[int, ...], list[str]] = {}
+    first = later if signed and not as_json else {}  # as _block_text renders them
     for zero_support, blocks in _walk(n, family):
         if pairs is not None and len(blocks) != pairs:
             continue
-        lines = [_zero_text(zero_support)]
+        head, tail = _ends(n, zero_support if signed else None, as_json)
+        lines, cache = [head], first
         for block in blocks:
-            texts = block_texts.get(block)
+            texts = cache.get(block)
             if texts is None:
-                texts = [" | " + _pair_text(rep) for rep in _signed_reps(block)]
-                block_texts[block] = texts
+                reps = _signed_reps(block) if signed else [block]
+                texts = [_block_text(r, signed, as_json, cache is first) for r in reps]
+                cache[block] = texts
             lines = [line + text for line in lines for text in texts]
-        yield lines
+            cache = later
+        yield [line + tail for line in lines] if tail else lines
 
 
 def classify(p: SignedSetPartition) -> Family:

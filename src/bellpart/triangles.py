@@ -181,7 +181,11 @@ def rows(family: Family, one=1) -> Iterator[list]:
 
     The cells are multiples of ``one``: ints, or with ``one = Decimal(1)``
     Decimals, each row built in ``_EXACT``, so a cell that would be rounded
-    raises whatever the caller's context."""
+    raises whatever the caller's context.  Any other ``one`` raises
+    ValueError at the call: a float walk would round, a Fraction walk leave
+    the ints, and neither would say so."""
+    if type(one) not in (int, decimal.Decimal) or str(one) != "1":
+        raise ValueError(f"one must be 1 or Decimal(1), not {one!r}")
     if family is Family.TYPE_D:
         walk = _d_rows(_weighted_walk(Family.TYPE_B, [one], one), one)
     else:

@@ -1,6 +1,7 @@
 """Enumeration oracle, canonical form and classification tests."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from bellpart.partitions import (
     count_single_positive_zero_block,
     enum_classical,
     enum_signed,
-    signed_text_groups,
+    line_groups,
 )
 from bellpart.triangles import (
     Family,
@@ -65,41 +66,48 @@ class TestSigned:
             assert parts == [SignedSetPartition(0, (), ())]
 
     def test_classical_family_rejected(self):
-        # and any value that is not a signed Family, such as its string value
+        # enum_signed takes only a signed Family, line_groups any Family, and
+        # neither takes a value that is not one, such as its string value
         for family in (Family.CLASSICAL, "b", "d", None):
-            for walk in (enum_signed, signed_text_groups):
-                with pytest.raises(ValueError):
-                    next(walk(2, family))
+            with pytest.raises(ValueError):
+                next(enum_signed(2, family))
+            for as_json in (False, True):
+                if family is not Family.CLASSICAL:
+                    with pytest.raises(ValueError):
+                        next(line_groups(2, family, as_json, None))
 
-    @pytest.mark.parametrize("family", [Family.TYPE_B, Family.TYPE_D])
+    @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("n", range(8))
     def test_text_groups_equal_rendered_partitions(self, family, n):
-        # at n = 7 a block's pair strings are reused across many groups
-        for pairs in (None, 3) if n == 7 else (None, *range(n + 2)):
-            expected = "\n".join(
-                p.render_text()
-                for p in enum_signed(n, family)
-                if pairs is None or p.num_pairs == pairs
-            )
-            groups = list(signed_text_groups(n, family, pairs))
-            assert "\n".join(line for lines in groups for line in lines) == expected
-            # a group is one unsigned partition's 2^(n - |zero| - k) sign choices
-            assert all(len(lines) & (len(lines) - 1) == 0 for lines in groups)
+        # line_groups against the enumerations, classical too, in both formats;
+        # at n = 7 a block's texts are reused across many groups
+        for as_json in (False, True):
+            reference = _reference_lines(n, family, as_json)
+            for pairs in (None, *range(n + 2)):
+                expected = [line for size, line in reference if pairs is None or size == pairs]
+                groups = list(line_groups(n, family, as_json, pairs))
+                assert [line for lines in groups for line in lines] == expected
+                # a group is one unsigned partition's 2^(n - |zero| - k) sign
+                # choices, or the one classical partition
+                for lines in groups:
+                    assert len(lines) & (len(lines) - 1) == 0
+                    assert len(lines) == 1 or family is not Family.CLASSICAL
 
     def test_interleaved_text_groups(self):
-        # two calls drawn from in turn each give their own lines
-        calls = [(5, Family.TYPE_B, None), (6, Family.TYPE_D, 2)]
-        walks = [signed_text_groups(*call) for call in calls]
-        lines = [[], []]
-        for pair in itertools.zip_longest(*walks):
-            for out, groups in zip(lines, pair):
-                out.extend(groups or ())
-        for out, (n, family, pairs) in zip(lines, calls):
-            assert out == [
-                p.render_text()
-                for p in enum_signed(n, family)
-                if pairs is None or p.num_pairs == pairs
-            ]
+        # calls drawn from in turn each give their own lines
+        calls = [
+            (5, Family.TYPE_B, False, None),
+            (6, Family.TYPE_D, True, 2),
+            (5, Family.CLASSICAL, True, None),
+        ]
+        walks = [line_groups(*call) for call in calls]
+        lines = [[] for _ in calls]
+        for groups in itertools.zip_longest(*walks):
+            for out, group in zip(lines, groups):
+                out.extend(group or ())
+        for out, (n, family, as_json, pairs) in zip(lines, calls):
+            reference = _reference_lines(n, family, as_json)
+            assert out == [line for size, line in reference if pairs is None or size == pairs]
 
     def test_d1_single_partition(self):
         parts = list(enum_signed(1, Family.TYPE_D))
@@ -141,6 +149,23 @@ class TestSigned:
         first = [p.render_text() for p in enum_signed(3, Family.TYPE_D)]
         second = [p.render_text() for p in enum_signed(3, Family.TYPE_D)]
         assert first == second
+
+
+def _reference_lines(n, family, as_json):
+    """(size, line) of each enumerated partition; a JSON line is dumped here
+    from the partition's fields, and must equal its render_json."""
+    if family is Family.CLASSICAL:
+        parts = ((p, len(p.blocks), {"n": p.n, "blocks": p.blocks}) for p in enum_classical(n))
+    else:
+        parts = (
+            (p, p.num_pairs, {"n": p.n, "zero_support": p.zero_support, "pairs": p.pairs})
+            for p in enum_signed(n, family)
+        )
+    if not as_json:
+        return [(size, p.render_text()) for p, size, _ in parts]
+    reference = [(p, size, json.dumps(record, separators=(",", ":"))) for p, size, record in parts]
+    assert [p.render_json() for p, _, _ in reference] == [line for _, _, line in reference]
+    return [(size, line) for _, size, line in reference]
 
 
 def _to_blocks(p: SignedSetPartition) -> list:

@@ -1,6 +1,7 @@
 """Recurrence values against the published tables, plus identity suites."""
 
 import decimal
+import fractions
 import math
 import random
 import sys
@@ -202,6 +203,18 @@ def test_decimal_rows_exact_in_default_context(family):
         walk = zip(range(61), rows(family, decimal.Decimal(1)), rows(family))
         for n, row, int_row in walk:
             assert row == int_row
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_rows_one_is_exact(family):
+    # a float walk rounds 54 of the 61 cells of B row 60, silently
+    for one in (1.0, fractions.Fraction(1), True, decimal.Decimal("1.0"), 2):
+        with pytest.raises(ValueError):
+            rows(family, one)  # at the call, before any row
+    for one in (1, decimal.Decimal(1)):
+        for n, row in zip(range(61), rows(family, one)):
+            assert row == stirling_row(family, n)
+            assert all(type(cell) is type(one) for cell in row)
 
 
 @pytest.mark.parametrize("family", list(Family))
