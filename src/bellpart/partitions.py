@@ -1,5 +1,6 @@
 """Canonical set partitions of [n] and signed set partitions of <n>,
-with exhaustive streaming enumeration used as a brute-force counting oracle.
+enumerated exhaustively as a brute-force counting oracle by one streaming
+depth-first walk over prefixes of the unsigned partitions (``_rgs_blocks``).
 
 A signed set partition of <n> = {-n..n} consists of a zero-block (contains
 0, closed under negation) plus pairs of blocks P / -P.  We store the
@@ -85,35 +86,34 @@ def _line(n: int, zero_support: Sequence[int] | None, reps: Sequence, as_json: b
     return head + "".join(_block_text(r, signed, as_json, not i) for i, r in enumerate(reps)) + tail
 
 
+def _grown(blocks: tuple, e: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The partitions that add ``e`` to ``blocks``: to each block, then alone."""
+    for i, block in enumerate(blocks):
+        yield (*blocks[:i], (*block, e), *blocks[i + 1 :])
+    yield (*blocks, (e,))
+
+
 def _rgs_blocks(elements: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All unsigned partitions of ``elements`` in restricted-growth-string order.
+    """All unsigned partitions of ``elements`` in restricted-growth-string
+    order, walked depth first over prefixes: those of ``elements[:j]`` grow
+    into those of ``elements[:j + 1]`` by ``_grown``, each prefix built once
+    and shared by its extensions.  The open prefixes' iterators sit on a
+    list, so no element costs a level of recursion.
 
     Blocks come out ordered by minimum element, elements increasing inside
     each block (``elements`` must be sorted).
     """
     m = len(elements)
-    if m == 0:
-        yield ()
-        return
-    a = [0] * m  # a[i] = block index of elements[i]
-    b = [0] * m  # b[i] = max(a[0..i]) (valid prefix maxima)
-    while True:
-        nblocks = b[m - 1] + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for i, e in enumerate(elements):
-            blocks[a[i]].append(e)
-        yield tuple(tuple(blk) for blk in blocks)
-        # next RGS in lexicographic order
-        i = m - 1
-        while i > 0 and a[i] == b[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        b[i] = max(b[i - 1], a[i])
-        for j in range(i + 1, m):
-            a[j] = 0
-            b[j] = b[i]
+    stack = [iter([()])]  # stack[j] walks the partitions of elements[:j]
+    while stack:
+        for blocks in stack[-1]:
+            if len(stack) > m:
+                yield blocks
+            else:
+                stack.append(_grown(blocks, elements[len(stack) - 1]))
+                break
+        else:
+            stack.pop()
 
 
 def enum_classical(n: int) -> Iterator[ClassicalSetPartition]:

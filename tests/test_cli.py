@@ -1,17 +1,21 @@
 """CLI surface: output formats, exit codes, round-trips."""
 
 import decimal
+import io
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellpart import series, triangles
-from bellpart.cli import main
+from bellpart.cli import _DOBINSKI_FN, _TABLE_FAMILIES, main
 from bellpart.triangles import Family, stirling, stirling_b
 
 
@@ -473,3 +477,78 @@ def test_verify_failure_line_and_exit_code(capsys, wrong_cell, ident, cell, line
     code, out = run(capsys, "verify", ident, "--max-n", "5")
     assert code == 1
     assert out.splitlines()[-1] == line
+
+
+# The parser's grammar, small sizes only: ints with signs and leading zeros,
+# junk in any slot, and any slot or option missing.
+_INT = st.builds(
+    lambda i, zeros: f"{'-' * (i < 0)}{zeros}{abs(i)}",
+    st.integers(-2, 6),
+    st.sampled_from(["", "0", "00"]),
+)
+_JUNK = st.text("ab-/.0 ", max_size=4)
+_WIDTH = st.sampled_from(["1/2", "2/3", "1", "1e-3", "3/0", "nan", "inf", "-1/2", "0"])
+_FORMAT = st.sampled_from(["tsv", "json", "text"])
+
+
+def _arg(values):
+    # a value of the grammar four times in six, else junk or nothing
+    return st.builds(
+        lambda pick, value, junk: ([value], [value], [value], [value], [junk], [])[pick],
+        st.sampled_from(range(6)),
+        values,
+        _JUNK,
+    )
+
+
+def _option(flag, values):
+    return st.just([]) | _arg(values).map(lambda a: [flag, *a])
+
+
+def _command(name, *slots):
+    return st.tuples(*slots).map(lambda parts: [name, *(a for part in parts for a in part)])
+
+
+_ARGV = st.one_of(
+    _command(
+        "table",
+        _arg(st.sampled_from(sorted(_TABLE_FAMILIES))),
+        _option("--rows", _INT),
+        _option("--format", _FORMAT),
+    ),
+    _command(
+        "verify", _arg(st.sampled_from([*triangles.IDENTITY_IDS, "all"])), _option("--max-n", _INT)
+    ),
+    _command(
+        "enumerate",
+        _arg(st.sampled_from([f.value for f in Family])),
+        _arg(_INT),
+        _option("--pairs", _INT),
+        _option("--format", _FORMAT),
+    ),
+    _command("oracle-check", _arg(_INT)),
+    _command("dobinski", _arg(st.sampled_from(sorted(_DOBINSKI_FN))), _arg(_INT), _arg(_WIDTH)),
+    _command("egf-check", _arg(_INT)),
+    st.lists(_INT | _JUNK, max_size=3),
+)
+
+
+@given(_ARGV)
+@example(["dobinski", "a", "3", "3/0"])
+@example(["dobinski", "b", "3", "nan"])
+@example(["dobinski", "d", "-1", "-1/2"])
+@example(["enumerate", "d", "007", "--pairs", "-02"])
+@example(["table", "bell", "--rows", "-0", "--format", "json"])
+@settings(max_examples=100, deadline=None)
+def test_exit_code_contract(argv):
+    # 0, 1 or 2 and never a traceback; a usage error prints nothing to stdout
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -1,15 +1,20 @@
 """Which checks see which injected fault.
 
-Each fault is one wrong cell of the recurrence rows, injected by the
+Most faults are one wrong cell of the recurrence rows, injected by the
 ``wrong_cell`` fixture.  The table pins the exact set of identities that fail
 ``verify_identity(id, 6)``: a change that blinds an identity fails here, and
-one that adds detection must update the table on purpose.  Every fault must
-also make ``oracle-check 6`` and ``egf-check 6``, which compare whole rows of
-all three triangles, exit 1.
+one that adds detection must update the table on purpose.  Every such fault
+must also make ``oracle-check 6`` and ``egf-check 6``, which compare whole
+rows of all three triangles, exit 1.
+
+The enumeration faults are one wrong count of ``partitions.count_one_pass``.
+Only ``oracle-check`` reads it, so ``verify`` and ``egf-check`` are pinned as
+blind to them.
 """
 
 import pytest
 
+from bellpart import partitions
 from bellpart.cli import main
 from bellpart.triangles import IDENTITY_IDS, Family, verify_identity
 
@@ -39,4 +44,41 @@ def test_fault_detection(capsys, wrong_cell, fault):
     assert main(["verify", "all", "--max-n", "6"]) == 1
     assert main(["oracle-check", "6"]) == 1
     assert main(["egf-check", "6"]) == 1
+    capsys.readouterr()
+
+
+def _one_more_d_count(counts, defect):
+    counts[Family.TYPE_D][2] += 1
+    return counts, defect
+
+
+def _one_more_defect(counts, defect):
+    return counts, defect + 1
+
+
+COUNT_FAULTS = {
+    # S_D(5,2) counted as 191, not 190
+    "count": (
+        _one_more_d_count,
+        "n=5 family=d: MISMATCH [1, 81, 191, 110, 20, 1] != [1, 81, 190, 110, 20, 1]",
+    ),
+    # B(5) - D(5) counted as 246, not 245
+    "defect": (_one_more_defect, "n=5 defect: MISMATCH 246 != 245"),
+}
+
+
+@pytest.mark.parametrize("fault", COUNT_FAULTS)
+def test_count_fault_detection(capsys, monkeypatch, fault):
+    change, mismatch = COUNT_FAULTS[fault]
+    count_one_pass = partitions.count_one_pass
+
+    def wrong_count(n):
+        return change(*count_one_pass(n)) if n == 5 else count_one_pass(n)
+
+    monkeypatch.setattr(partitions, "count_one_pass", wrong_count)
+    assert main(["oracle-check", "6"]) == 1
+    assert mismatch in capsys.readouterr().out.splitlines()
+    # blind on purpose: neither check enumerates partitions
+    assert main(["verify", "all", "--max-n", "6"]) == 0
+    assert main(["egf-check", "6"]) == 0
     capsys.readouterr()

@@ -11,6 +11,7 @@ from bellpart.partitions import (
     InvalidCoverError,
     PairingError,
     SignedSetPartition,
+    _rgs_blocks,
     canonicalize,
     classify,
     count_by_pairs,
@@ -29,6 +30,35 @@ from bellpart.triangles import (
     stirling_b,
     stirling_d,
 )
+
+
+def _rgs_reference(elements):
+    """The partitions of ``elements`` from their restricted growth strings,
+    a[0] = 0 and a[i] <= max(a[:i]) + 1, in lexicographic order."""
+    for rgs in itertools.product(*(range(i + 1) for i in range(len(elements)))):
+        if all(a <= max(rgs[:i], default=-1) + 1 for i, a in enumerate(rgs)):
+            blocks = [[] for _ in range(max(rgs, default=-1) + 1)]
+            for a, e in zip(rgs, elements):
+                blocks[a].append(e)
+            yield tuple(map(tuple, blocks))
+
+
+class TestRgsBlocks:
+    @pytest.mark.parametrize("m", range(8))
+    def test_equals_growth_string_order(self, m):
+        # sorted elements with gaps, like the rest of a zero support
+        elements = [2, 3, 5, 7, 11, 13, 17][:m]
+        assert list(_rgs_blocks(elements)) == list(_rgs_reference(elements))
+
+    def test_empty(self):
+        assert list(_rgs_blocks([])) == [()]
+
+    def test_deep_walk_streams(self):
+        # far past the recursion limit, the first partitions still come out
+        elements = list(range(1, 5001))
+        walk = _rgs_blocks(elements)
+        assert next(walk) == (tuple(elements),)
+        assert next(walk) == (tuple(elements[:-1]), (5000,))
 
 
 class TestClassical:
