@@ -341,18 +341,9 @@ class _Tables:
         """W(m) = sum_k 2^(m-k) S(m,k), from the classical rows."""
         return [sum(_u_row(row)) for row in self.classical]
 
-    def b_binomial_sum(self, n: int) -> int:
-        """sum_k 2^k C(n,k) B(n-k)."""
-        return sum((c * self.bell_b[n - k]) << k for k, c in enumerate(self.pascal[n]))
-
-    def unsigned_groups(self, n: int) -> list[int]:
-        """C(n,i) W(n-i) for i = 1..n."""
-        return [c * self.w[n - i] for i, c in enumerate(self.pascal[n][1:], 1)]
-
-    def d_groups(self, n: int) -> tuple[list[int], list[int]]:
-        """The unsigned groups and the groups 2^k C(n,k) D(n-k), k = 0..n."""
-        bells = [(c * self.bell_d[n - k]) << k for k, c in enumerate(self.pascal[n])]
-        return self.unsigned_groups(n), bells
+    def binomial_sum(self, n: int, x: list[int], shift: int) -> int:
+        """sum_k c^k C(n,k) x(n-k), c = 2^shift."""
+        return sum((c * x[n - k]) << (shift * k) for k, c in enumerate(self.pascal[n]))
 
     def b_from_classical(self, n: int) -> list[int]:
         """sum_i 2^(i-k) C(n,i) S(i,k) for k = 0..n."""
@@ -369,23 +360,6 @@ class _Tables:
         return rhs + [self.b[n][n]]
 
 
-def single_positive_zero_block_formula(n: int) -> int:
-    """Closed formula n * sum_k 2^(n-1-k) S(n-1,k) for n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n * sum(_u_row(_row(Family.CLASSICAL, n - 1)))
-
-
-def d_recurrence_terms(n: int) -> tuple[list[int], list[int]]:
-    """The two summand groups whose total is bell_d(n + 1).
-
-    Returns (unsigned_groups, bell_groups) where
-    unsigned_groups[i-1] = C(n,i) * sum_k 2^(n-i-k) S(n-i,k) for i = 1..n and
-    bell_groups[k]       = 2^k C(n,k) D(n-k)                 for k = 0..n.
-    """
-    return _Tables(n).d_groups(n)
-
-
 class _Identity(NamedTuple):
     # (n, tables) -> (lhs, rhs): whole rows if ``rows``, else ints
     sides: Callable[[int, _Tables], tuple]
@@ -400,22 +374,28 @@ _IDENTITIES = {
     "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n)), rows=True),
     "D_FROM_B": _Identity(lambda n, t: (t.d[n], t.d_from_b(n)), rows=True),
     "B_BELL_REC": _Identity(
-        lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.b_binomial_sum(n)), shift=1
+        lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.binomial_sum(n, t.bell_b, 1)), shift=1
     ),
     "ODD_WEIGHT_SUM": _Identity(
         lambda n, t: (
             sum((2 * k + 1) * s for k, s in enumerate(t.b[n])),
-            t.b_binomial_sum(n),
+            t.binomial_sum(n, t.bell_b, 1),
         )
     ),
+    # D(n+1) = sum_(i>=1) C(n,i) W(n-i) + sum_k 2^k C(n,k) D(n-k)
     "D_BELL_REC": _Identity(
-        lambda n, t: (t.bell_d[n + 1], sum(map(sum, t.d_groups(n)))), shift=1
+        lambda n, t: (
+            t.bell_d[n + 1],
+            t.binomial_sum(n, t.w, 0) - t.w[n] + t.binomial_sum(n, t.bell_d, 1),
+        ),
+        shift=1,
     ),
     "ZERO_BLOCK_DEFECT": _Identity(
         # n W(n-1), the closed form of B(n) - D(n) for n >= 1
         lambda n, t: (t.bell_b[n] - t.bell_d[n], n * t.w[n - 1]), first_n=1
     ),
-    "THM_4_7": _Identity(lambda n, t: (sum(t.unsigned_groups(n)), t.bell_b[n] - t.w[n])),
+    # sum_(i>=1) C(n,i) W(n-i) = B(n) - W(n)
+    "THM_4_7": _Identity(lambda n, t: (t.binomial_sum(n, t.w, 0) - t.w[n], t.bell_b[n] - t.w[n])),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)

@@ -18,7 +18,6 @@ from bellpart.triangles import (
     bell_a,
     bell_b,
     bell_d,
-    d_recurrence_terms,
     bell,
     bells,
     extend_weighted_rows,
@@ -328,35 +327,12 @@ class TestIdentities:
         assert dict(report.values) == {1: 1, 2: 4, 3: 15, 4: 72, 5: 403}
 
     def test_zero_block_defect_nonnegative(self):
+        # bells() against the n W(n-1) that verify reads from its own rows
+        closed_form = dict(verify_identity("ZERO_BLOCK_DEFECT", 30).values)
         for n in range(1, 31):
             defect = bell_b(n) - bell_d(n)
             assert defect >= 0
-            assert defect == triangles.single_positive_zero_block_formula(n)
-
-
-class TestDRecurrenceTerms:
-    # the worked expansions of the type-D recurrence at small n
-    def test_d3(self):
-        unsigned, bells = d_recurrence_terms(2)
-        assert unsigned == [2, 1]
-        assert bells == [4, 4, 4]
-        assert sum(unsigned) + sum(bells) == 15 == bell_d(3)
-
-    def test_d4(self):
-        unsigned, bells = d_recurrence_terms(3)
-        assert unsigned == [9, 3, 1]
-        assert bells == [15, 24, 12, 8]
-        assert sum(unsigned) + sum(bells) == 72 == bell_d(4)
-
-    def test_d5(self):
-        unsigned, bells = d_recurrence_terms(4)
-        assert unsigned == [44, 18, 4, 1]
-        assert bells == [72, 120, 96, 32, 16]
-        assert sum(unsigned) + sum(bells) == 403 == bell_d(5)
-
-    def test_negative_n_raises(self):
-        with pytest.raises(ValueError):
-            d_recurrence_terms(-1)
+            assert defect == closed_form[n]
 
 
 @given(st.integers(0, 25), st.integers(0, 25))
