@@ -335,6 +335,42 @@ class TestIdentities:
             assert defect == closed_form[n]
 
 
+class TestDRecurrenceTerms:
+    # the worked expansions of D(n + 1) into C(n,i) W(n-i) for i = 1..n and
+    # 2^k C(n,k) D(n-k) for k = 0..n, W(m) = sum_k 2^(m-k) S(m,k)
+    @staticmethod
+    def expand(n):
+        unsigned = [
+            math.comb(n, i)
+            * sum(2 ** (n - i - k) * stirling2(n - i, k) for k in range(n - i + 1))
+            for i in range(1, n + 1)
+        ]
+        bells = [2**k * math.comb(n, k) * bell_d(n - k) for k in range(n + 1)]
+        # the two group sums D_BELL_REC reads from _Tables
+        tables = triangles._Tables(n)
+        assert sum(unsigned) == tables.binomial_sum(n, tables.w, 0) - tables.w[n]
+        assert sum(bells) == tables.binomial_sum(n, tables.bell_d, 1)
+        return unsigned, bells
+
+    def test_d3(self):
+        unsigned, bells = self.expand(2)
+        assert unsigned == [2, 1]
+        assert bells == [4, 4, 4]
+        assert sum(unsigned) + sum(bells) == 15 == bell_d(3)
+
+    def test_d4(self):
+        unsigned, bells = self.expand(3)
+        assert unsigned == [9, 3, 1]
+        assert bells == [15, 24, 12, 8]
+        assert sum(unsigned) + sum(bells) == 72 == bell_d(4)
+
+    def test_d5(self):
+        unsigned, bells = self.expand(4)
+        assert unsigned == [44, 18, 4, 1]
+        assert bells == [72, 120, 96, 32, 16]
+        assert sum(unsigned) + sum(bells) == 403 == bell_d(5)
+
+
 @given(st.integers(0, 25), st.integers(0, 25))
 @settings(max_examples=60)
 def test_b_from_classical_pointwise(n, k):
