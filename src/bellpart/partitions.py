@@ -9,7 +9,8 @@ per pair: elements sorted by absolute value, the minimum-absolute-value
 element positive, representatives ordered by that minimum.
 
 Type D imposes that the zero-block has at least two positive elements or
-none (|zero_support| != 1); ``is_type_d`` holds that rule.
+none (|zero_support| != 1); ``is_type_d`` holds that rule, and ``_walk``
+skips the one-element supports for type D.
 
 Every family's partitions render in one notation per format, text or JSON
 (the bytes of ``json.dumps(..., separators=(",", ":"))``), which ``_ends``
@@ -19,10 +20,11 @@ and ``_block_text`` write: ``line_groups`` for the CLI, ``render_text`` and
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from bellpart.triangles import Family
+from bellpart.triangles import Family, _lookup
 
 
 class InvalidCoverError(ValueError):
@@ -126,24 +128,29 @@ def is_type_d(zero_support: Sequence[int]) -> bool:
     return len(zero_support) != 1
 
 
+# The sizes of the zero supports each family walks in <n>: TYPE_D skips
+# those of exactly one element (``is_type_d``), CLASSICAL takes the empty one
+_ZERO_SIZES = {
+    Family.CLASSICAL: lambda n: range(1),
+    Family.TYPE_B: lambda n: range(n + 1),
+    Family.TYPE_D: lambda n: (0, *range(2, n + 1)),
+}
+
+
 def _walk(n: int, family: Family) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Each zero support of <n> in lexicographic order, with each unsigned
-    partition of the rest of [n] in RGS order: the walk of ``enum_signed``.
-    TYPE_D skips the zero supports of exactly one element; CLASSICAL takes
-    only the empty one, the walk of ``enum_classical``.  A negative n or a
-    value that is not a Family raises ValueError at the first item."""
+    partition of the rest of [n] in RGS order: the walk of ``enum_signed``,
+    and for CLASSICAL, which takes only the empty support, of
+    ``enum_classical``.  The supports stream: each size comes in
+    lexicographic order from ``combinations``, and a tuple sorts before its
+    extensions, so merging the sizes needs no list of all 2^n.  A negative n
+    or a value that is not a Family raises ValueError at the first item."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not isinstance(family, Family):
-        raise ValueError(f"not a family: {family!r}")
-    sizes = range(1) if family is Family.CLASSICAL else range(n + 1)
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(range(1, n + 1), r) for r in sizes
-    )
-    for zero_support in sorted(subsets):
-        if family is Family.TYPE_D and not is_type_d(zero_support):
-            continue
-        rest = [i for i in range(1, n + 1) if i not in zero_support]
+    sizes = _lookup(_ZERO_SIZES, family)(n)
+    elements = range(1, n + 1)
+    for zero_support in heapq.merge(*(itertools.combinations(elements, r) for r in sizes)):
+        rest = [i for i in elements if i not in zero_support]
         for blocks in _rgs_blocks(rest):
             yield zero_support, blocks
 
@@ -203,13 +210,16 @@ def classify(p: SignedSetPartition) -> Family:
 def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartition:
     """Normalize arbitrary block input to the canonical form.
 
-    Raises InvalidCoverError if the blocks are not a partition of <n>,
+    Raises InvalidCoverError if the blocks are not a partition of <n> (a
+    block is empty, or an element is missing, repeated or outside <n>),
     PairingError if the zero-block is not negation-closed or some block's
     negation is missing.  Idempotent on canonical input.
     """
     blocks = [tuple(b) for b in raw_blocks]
     seen: set[int] = set()
     for b in blocks:
+        if not b:
+            raise InvalidCoverError("a block is empty")
         for x in b:
             if x < -n or x > n:
                 raise InvalidCoverError(f"element {x} outside <{n}>")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import comb
 
-from bellpart.triangles import Family
+from bellpart.triangles import Family, _lookup
 
 
 def _half_exp_2x_minus_1(n: int) -> int:
@@ -72,11 +72,9 @@ def _exp(f: list[int]) -> list[list[int]]:
 
 def egf_triangle(family: Family, order: int) -> list[list[int]]:
     """Rows 0..order of the family's Stirling triangle, from its bivariate EGF."""
-    if not isinstance(family, Family):
-        raise ValueError(f"not a family: {family!r}")
+    prefactor, f = _lookup(_EGFS, family)
     if order < 0:
         raise ValueError("order must be >= 0")
-    prefactor, f = _EGFS[family]
     return _mul([prefactor(n) for n in range(order + 1)], _exp([f(n) for n in range(order + 1)]))
 
 

@@ -19,8 +19,8 @@ Number families, each selected by a ``Family``:
   D(n) = B(n) - n W(n-1), W the (2, 0) sequence.  No Stirling row is built
   for a Bell number.
 
-Everything is exact big-integer arithmetic; out-of-range (k > n, k < 0)
-arguments return 0 so identity sums can run over uniform index ranges.
+Everything is exact big-integer arithmetic.  For n >= 0, a k outside 0..n
+reads 0, so identity sums can run over uniform index ranges.
 ``rows(family, Decimal(1))`` walks the same row steps in ``decimal.Decimal``,
 for ``table``: a Decimal prints in time linear in its digits, where int -> str
 takes quadratic time.  Each such row is built in ``_EXACT``, a context of the
@@ -28,8 +28,10 @@ largest precision that traps ``Inexact`` and ``Rounded``, so a cell that would
 be rounded raises instead; the caller's context is never changed.
 Random access reads row n through ``_row(family, n)``, which walks on from the
 last two rows it read; ``rows(family)`` walks rows 0, 1, 2, ... in order.
-Rows and Bell numbers exist for n >= 0 only: a negative n raises ValueError,
-and a family that is not a ``Family`` raises ValueError.
+Rows, cells and Bell numbers exist for n >= 0 only: a negative n raises
+ValueError, whatever k is.  Every family argument, here and in ``series`` and
+``partitions``, is read through ``_lookup``, so a value that is not a
+``Family``, such as ``"b"``, ``None`` or ``[]``, raises ValueError.
 """
 
 from __future__ import annotations
@@ -54,10 +56,12 @@ _WEIGHTS = {Family.CLASSICAL: (0, 1), Family.TYPE_B: (1, 2)}
 
 
 def _lookup(table: dict, family: Family):
-    """``table[family]``; a key it lacks, such as ``"b"``, raises ValueError."""
+    """``table[family]``, the one check of a family argument: a key the table
+    lacks, such as ``"b"``, or an unhashable value such as ``[]`` raises
+    ValueError."""
     try:
         return table[family]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"not a family: {family!r}") from None
 
 
@@ -139,22 +143,24 @@ def _row(family: Family, n: int) -> list[int]:
     return window[-1]
 
 
-def stirling2(n: int, k: int) -> int:
-    if k < 0 or k > n:
+def _cell(family: Family, n: int, k: int) -> int:
+    """Cell (n, k) of the family's triangle: 0 for k outside 0..n, and for a
+    negative n the ValueError of ``_row``."""
+    if n >= 0 and not 0 <= k <= n:
         return 0
-    return _row(Family.CLASSICAL, n)[k]
+    return _row(family, n)[k]
+
+
+def stirling2(n: int, k: int) -> int:
+    return _cell(Family.CLASSICAL, n, k)
 
 
 def stirling_b(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return _row(Family.TYPE_B, n)[k]
+    return _cell(Family.TYPE_B, n, k)
 
 
 def stirling_d(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return _row(Family.TYPE_D, n)[k]
+    return _cell(Family.TYPE_D, n, k)
 
 
 # The context each Decimal row is built in: no precision or exponent limit in

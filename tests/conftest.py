@@ -1,42 +1,48 @@
 """Shared fixtures."""
 
+from functools import partial
+
 import pytest
 
 from bellpart import triangles
+from bellpart.triangles import Family
 
 
 @pytest.fixture
 def wrong_cell(monkeypatch):
     """``wrong_cell(family, n, k, value)`` makes cell (n, k) of the family's
-    recurrence rows read ``value`` wherever a row is walked.  ``family`` is a
-    ``Family`` walked by ``_weighted_walk``, or ``"U"`` for the U(n,k) =
-    2^(n-k) S(n,k) walk that builds the type-D rows read in order.
+    rows read ``value`` wherever a row is built; each call adds one cell, so
+    two calls can change two cells of one row.  ``family`` is a ``Family``
+    walked by ``_weighted_walk``, ``Family.TYPE_D`` for the rows that
+    ``_d_from`` builds, or ``"U"`` for the U(n,k) = 2^(n-k) S(n,k) walk that
+    builds the type-D rows read in order.
 
-    The patched walk yields a changed copy of row n and builds row n + 1 from
-    the true row, so only that one cell is wrong.  The random-access windows
-    start empty and are dropped with the patch, so no wrong row outlives the
-    test.
+    Each seam hands out a changed copy of row n, and a walk builds row n + 1
+    from the true row, so only the cells named are wrong.  The random-access
+    windows start empty and are dropped with the patch, so no wrong row
+    outlives the test.
     """
-    weighted_walk, u_walk = triangles._weighted_walk, triangles._u_walk
+    wrong: dict = {}  # family -> {(n, k): value}
+
+    def changed(family, row):
+        cells = wrong.get(family, {})
+        n = len(row) - 1
+        if all(m != n for m, _ in cells):
+            return row
+        return [cells.get((n, k), value) for k, value in enumerate(row)]
+
+    weighted_walk, u_walk, d_from = triangles._weighted_walk, triangles._u_walk, triangles._d_from
+    monkeypatch.setattr(
+        triangles,
+        "_weighted_walk",
+        lambda family, *args: map(partial(changed, family), weighted_walk(family, *args)),
+    )
+    monkeypatch.setattr(triangles, "_u_walk", lambda *one: map(partial(changed, "U"), u_walk(*one)))
+    monkeypatch.setattr(triangles, "_d_from", lambda *args: changed(Family.TYPE_D, d_from(*args)))
     monkeypatch.setattr(triangles, "_rows_classical", [])
     monkeypatch.setattr(triangles, "_rows_b", [])
 
     def patch(family, n, k, value):
-        def changed(walk):
-            for row in walk:
-                if len(row) == n + 1:
-                    row = list(row)
-                    row[k] = value
-                yield row
-
-        def wrong_walk(walked, row, *one):
-            if walked is not family:
-                return weighted_walk(walked, row, *one)
-            return changed(weighted_walk(walked, row, *one))
-
-        if family == "U":
-            monkeypatch.setattr(triangles, "_u_walk", lambda *one: changed(u_walk(*one)))
-        else:
-            monkeypatch.setattr(triangles, "_weighted_walk", wrong_walk)
+        wrong.setdefault(family, {})[n, k] = value
 
     return patch

@@ -1,19 +1,23 @@
 """Which checks see which injected fault.
 
-Most faults are one wrong cell of the recurrence rows, injected by the
-``wrong_cell`` fixture.  The table pins the exact set of identities that fail
-``verify_identity(id, 6)``: a change that blinds an identity fails here, and
-one that adds detection must update the table on purpose.  Every such fault
-must also make ``oracle-check 6`` and ``egf-check 6``, which compare whole
-rows of all three triangles, exit 1.
+Every fault runs against one table of CLI checks, each run in-process
+through ``cli.main``, and pins the exact set of checks that exit 1: a change
+that blinds a check fails here, and one that adds detection must update the
+table on purpose.  Every fault must fail at least one check.
+
+The row faults are wrong cells of the recurrence rows, injected by the
+``wrong_cell`` fixture.  Every other route is compared with these rows, so
+each must fail at least two checks.  They also pin the exact set of
+identities that fail ``verify_identity(id, 6)``.  ``dobinski`` reads the Bell
+numbers from the Bell recurrences, never from a row, so it is pinned as
+blind to them.
 
 The enumeration faults are one wrong count of ``partitions.count_one_pass``.
 Only ``oracle-check`` reads it, so ``verify`` and ``egf-check`` are pinned as
 blind to them.
 
 The seam faults are one wrong value at a seam no row walk reads: the Bell
-recurrence, an EGF prefactor and a Dobinski numerator.  Each pins the exact
-set of CLI checks that exit 1.
+recurrence, an EGF prefactor and the Dobinski numerators.
 """
 
 import pytest
@@ -22,33 +26,61 @@ from bellpart import dobinski, partitions, series, triangles
 from bellpart.cli import main
 from bellpart.triangles import IDENTITY_IDS, Family, verify_identity
 
-FAULTS = {
+CHECKS = {
+    "verify": ["verify", "all", "--max-n", "6"],
+    "oracle-check": ["oracle-check", "6"],
+    "egf-check": ["egf-check", "6"],
+    **{f"dobinski {f}": ["dobinski", f, "5", "1/2"] for f in "abd"},
+}
+
+# the checks that compare whole rows of all three triangles
+ROW_CHECKS = {"verify", "oracle-check", "egf-check"}
+
+
+def _failing_checks(capsys) -> set[str]:
+    codes = {name: main(argv) for name, argv in CHECKS.items()}
+    capsys.readouterr()
+    assert set(codes.values()) <= {0, 1}
+    return {name for name, code in codes.items() if code == 1}
+
+
+ROW_FAULTS = {
     # S(4,2) read as 8, not 7: every side built from the classical rows moves
     "classical": (
-        (Family.CLASSICAL, 4, 2, 8),
+        [(Family.CLASSICAL, 4, 2, 8)],
         {"B_FROM_CLASSICAL", "D_FROM_B", "D_BELL_REC", "ZERO_BLOCK_DEFECT", "THM_4_7"},
+        ROW_CHECKS,
     ),
     # S_B(5,2) read as 331, not 330: the D rows are built from the B rows, so
     # both sides of D_FROM_B and ZERO_BLOCK_DEFECT move alike
     "b": (
-        (Family.TYPE_B, 5, 2, 331),
+        [(Family.TYPE_B, 5, 2, 331)],
         {"B_FROM_CLASSICAL", "B_BELL_REC", "ODD_WEIGHT_SUM", "D_BELL_REC", "THM_4_7"},
+        ROW_CHECKS,
+    ),
+    # S_B(5,2) + 1 and S_B(5,3) - 1: row 5 keeps its sum, so the identities of
+    # Bell numbers, read as row sums, are blind to it, as D_FROM_B and
+    # ZERO_BLOCK_DEFECT are to any B fault
+    "b-swap": (
+        [(Family.TYPE_B, 5, 2, 331), (Family.TYPE_B, 5, 3, 169)],
+        {"B_FROM_CLASSICAL", "ODD_WEIGHT_SUM"},
+        ROW_CHECKS,
     ),
     # U(4,2) = 2^2 S(4,2) read as 29, not 28: only the D rows move
-    "u": (("U", 4, 2, 29), {"D_FROM_B", "D_BELL_REC", "ZERO_BLOCK_DEFECT"}),
+    "u": ([("U", 4, 2, 29)], {"D_FROM_B", "D_BELL_REC", "ZERO_BLOCK_DEFECT"}, ROW_CHECKS),
+    # S_D(4,2) read as 35, not 34, where _d_from builds the row
+    "d": ([(Family.TYPE_D, 4, 2, 35)], {"D_FROM_B", "D_BELL_REC", "ZERO_BLOCK_DEFECT"}, ROW_CHECKS),
 }
 
 
-@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("fault", ROW_FAULTS)
 def test_fault_detection(capsys, wrong_cell, fault):
-    cell, expected = FAULTS[fault]
-    wrong_cell(*cell)
-    failed = {ident for ident in IDENTITY_IDS if not verify_identity(ident, 6).status}
-    assert failed == expected
-    assert main(["verify", "all", "--max-n", "6"]) == 1
-    assert main(["oracle-check", "6"]) == 1
-    assert main(["egf-check", "6"]) == 1
-    capsys.readouterr()
+    cells, identities, checks = ROW_FAULTS[fault]
+    assert len(checks) >= 2, "every row fault must fail at least two checks"
+    for cell in cells:
+        wrong_cell(*cell)
+    assert {ident for ident in IDENTITY_IDS if not verify_identity(ident, 6).status} == identities
+    assert _failing_checks(capsys) == checks
 
 
 def _one_more_d_count(counts, defect):
@@ -107,18 +139,15 @@ def _wrong_prefactor(monkeypatch):
     monkeypatch.setitem(series._EGFS, Family.TYPE_D, (lambda n: 1, f))
 
 
-def _wrong_numerator(monkeypatch):
-    # the r = 0 summand of B(5) read as 2, not 1
-    num_b = dobinski._num_b
-    monkeypatch.setattr(dobinski, "_num_b", lambda n, r: num_b(n, r) + (n == 5 and r == 0))
+def _wrong_numerator(name):
+    """The r = 0 summand of ``dobinski.<name>`` at n = 5 read one too high."""
 
+    def inject(monkeypatch):
+        num = getattr(dobinski, name)
+        monkeypatch.setattr(dobinski, name, lambda n, r: num(n, r) + (n == 5 and r == 0))
 
-CHECKS = {
-    "verify": ["verify", "all", "--max-n", "6"],
-    "oracle-check": ["oracle-check", "6"],
-    "egf-check": ["egf-check", "6"],
-    **{f"dobinski {f}": ["dobinski", f, "5", "1/2"] for f in "abd"},
-}
+    return inject
+
 
 SEAM_FAULTS = {
     # verify and oracle-check read Bell numbers as row sums, never through
@@ -126,7 +155,10 @@ SEAM_FAULTS = {
     "bell": (_wrong_bell, {"egf-check", "dobinski b", "dobinski d"}),
     "prefactor": (_wrong_prefactor, {"egf-check"}),
     # _num_b is also the tail bound of dobinski d, which never reads r = 0
-    "numerator": (_wrong_numerator, {"dobinski b"}),
+    "numerator": (_wrong_numerator("_num_b"), {"dobinski b"}),
+    # 0^5 read as 1
+    "numerator-a": (_wrong_numerator("_num_a"), {"dobinski a"}),
+    "numerator-d": (_wrong_numerator("_num_d"), {"dobinski d"}),
 }
 
 
@@ -135,10 +167,7 @@ def test_seam_fault_detection(capsys, monkeypatch, fault):
     inject, expected = SEAM_FAULTS[fault]
     assert expected, "every fault must fail at least one check"
     inject(monkeypatch)
-    codes = {name: main(argv) for name, argv in CHECKS.items()}
-    capsys.readouterr()
-    assert set(codes.values()) <= {0, 1}
-    assert {name for name, code in codes.items() if code == 1} == expected
+    assert _failing_checks(capsys) == expected
 
 
 def test_bell_fault_egf_lines(capsys, monkeypatch):

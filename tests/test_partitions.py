@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from bellpart.partitions import (
     PairingError,
     SignedSetPartition,
     _rgs_blocks,
+    _walk,
     canonicalize,
     classify,
     count_by_pairs,
@@ -19,6 +21,7 @@ from bellpart.partitions import (
     count_single_positive_zero_block,
     enum_classical,
     enum_signed,
+    is_type_d,
     line_groups,
 )
 from bellpart.triangles import (
@@ -291,6 +294,10 @@ class TestCanonicalize:
         with pytest.raises(PairingError):
             canonicalize(2, [[0], [1, -1], [2], [-2]])
 
+    def test_empty_block(self):
+        with pytest.raises(InvalidCoverError, match="empty"):
+            canonicalize(1, [[0], [1], [-1], []])
+
 
 class TestCounts:
     @pytest.mark.parametrize("family", ["b", "d", None])
@@ -348,3 +355,33 @@ def test_streaming_is_lazy():
     stream = enum_signed(8, Family.TYPE_B)
     first = next(stream)
     assert first.n == 8
+
+
+@pytest.mark.parametrize("family", Family)
+def test_walk_support_order(family):
+    # the merged stream of zero supports is their sorted list
+    for n in range(9):
+        every = sorted(
+            itertools.chain.from_iterable(
+                itertools.combinations(range(1, n + 1), r) for r in range(n + 1)
+            )
+        )
+        expected = {
+            Family.CLASSICAL: [()],
+            Family.TYPE_B: every,
+            Family.TYPE_D: list(filter(is_type_d, every)),
+        }[family]
+        walked = [z for z, _ in itertools.groupby(z for z, _ in _walk(n, family))]
+        assert walked == expected
+
+
+@pytest.mark.parametrize("family", [Family.TYPE_B, Family.TYPE_D])
+def test_walk_streams_supports(family):
+    # the first item builds no list of the 2^18 zero supports (about 31 MB)
+    tracemalloc.start()
+    try:
+        next(_walk(18, family))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpart import triangles
+from bellpart.partitions import count_by_pairs, enum_signed
+from bellpart.series import egf_triangle
 from bellpart.triangles import (
     Family,
     bell_a,
@@ -101,6 +104,15 @@ def test_out_of_range_is_zero():
         assert fn(3, 5) == 0
         assert fn(3, -1) == 0
         assert fn(0, 3) == 0
+
+
+@pytest.mark.parametrize("k", [-1, 0, 3])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_cell_negative_n_raises(n, k):
+    # a cell of a row that does not exist is an error, not a 0
+    for fn in (stirling2, stirling_b, stirling_d, *(partial(stirling, f) for f in Family)):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            fn(n, k)
 
 
 @pytest.mark.parametrize("fn", [bell_a, bell_b, bell_d])
@@ -267,9 +279,10 @@ def test_windows_hold_two_rows(monkeypatch):
     assert [len(row) for row in triangles._rows_classical] == [299, 300]
 
 
-@pytest.mark.parametrize("family", ["b", "d", None])
+@pytest.mark.parametrize("family", ["b", "d", None, pytest.param([], id="unhashable")])
 def test_non_family_raises(family):
-    # with B rows in the window, a stray family must raise, not read them
+    # with B rows in the window, a stray family must raise, not read them;
+    # every module reads a family through triangles._lookup
     stirling_row(Family.TYPE_B, 5)
     for call in (
         lambda: stirling_row(family, 3),
@@ -277,8 +290,12 @@ def test_non_family_raises(family):
         lambda: triangles.rows(family, decimal.Decimal(1)),
         lambda: stirling(family, 2, 1),
         lambda: bell(family, 3),
+        lambda: bells(family),
+        lambda: egf_triangle(family, 3),
+        lambda: next(enum_signed(3, family)),
+        lambda: count_by_pairs(3, family),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a family"):
             call()
 
 
