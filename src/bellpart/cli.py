@@ -103,7 +103,7 @@ def cmd_oracle_check(args) -> int:
                 n_ok = False
                 print(f"n={n} family={family.value}: MISMATCH {counts} != {expected}")
         bell_a, bell_b, bell_d = map(sum, expected_rows)
-        if n >= 1 and defect != bell_b - bell_d:
+        if defect != bell_b - bell_d:
             n_ok = False
             print(f"n={n} defect: MISMATCH {defect} != {bell_b - bell_d}")
         if n_ok:

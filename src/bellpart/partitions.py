@@ -16,6 +16,10 @@ Every family's partitions render in one notation per format, text or JSON
 (the bytes of ``json.dumps(..., separators=(",", ":"))``), which ``_ends``
 and ``_block_text`` write: ``line_groups`` for the CLI, ``render_text`` and
 ``render_json`` for one partition.
+
+Every size n is read through ``triangles._size`` and every family through
+``triangles._lookup``, so a negative n or a value that is not a Family
+raises ValueError here as in ``triangles`` and ``series``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import heapq
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from bellpart.triangles import Family, _lookup
+from bellpart.triangles import Family, _lookup, _size
 
 
 class InvalidCoverError(ValueError):
@@ -144,11 +148,10 @@ def _walk(n: int, family: Family) -> Iterator[tuple[tuple[int, ...], tuple]]:
     ``enum_classical``.  The supports stream: each size comes in
     lexicographic order from ``combinations``, and a tuple sorts before its
     extensions, so merging the sizes needs no list of all 2^n.  A negative n
-    or a value that is not a Family raises ValueError at the first item."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    (``_size``) or a value that is not a Family (``_lookup``) raises
+    ValueError at the first item."""
+    elements = range(1, _size(n) + 1)
     sizes = _lookup(_ZERO_SIZES, family)(n)
-    elements = range(1, n + 1)
     for zero_support in heapq.merge(*(itertools.combinations(elements, r) for r in sizes)):
         rest = [i for i in elements if i not in zero_support]
         for blocks in _rgs_blocks(rest):
@@ -213,8 +216,10 @@ def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartit
     Raises InvalidCoverError if the blocks are not a partition of <n> (a
     block is empty, or an element is missing, repeated or outside <n>),
     PairingError if the zero-block is not negation-closed or some block's
-    negation is missing.  Idempotent on canonical input.
+    negation is missing; a negative n raises ValueError before any block is
+    read.  Idempotent on canonical input.
     """
+    _size(n)
     blocks = [tuple(b) for b in raw_blocks]
     seen: set[int] = set()
     for b in blocks:
@@ -230,10 +235,7 @@ def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartit
         missing = sorted(set(range(-n, n + 1)) - seen)
         raise InvalidCoverError(f"missing elements: {missing}")
 
-    zero_blocks = [b for b in blocks if 0 in b]
-    if len(zero_blocks) != 1:
-        raise InvalidCoverError("exactly one block must contain 0")
-    zero = set(zero_blocks[0])
+    zero = set(next(b for b in blocks if 0 in b))
     if {-x for x in zero} != zero:
         raise PairingError("zero-block is not closed under negation")
     zero_support = tuple(sorted(x for x in zero if x > 0))
@@ -242,19 +244,13 @@ def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartit
     for b in others:
         if any(-x in b for x in b):
             raise PairingError(f"block {sorted(b)} contains both i and -i")
-    remaining = set(others)
-    reps: list[tuple[int, ...]] = []
+    present = set(others)
     for b in others:
-        if b not in remaining:
-            continue
-        neg = frozenset(-x for x in b)
-        if neg not in remaining:
+        if frozenset(-x for x in b) not in present:
             raise PairingError(f"negation of block {sorted(b)} is missing")
-        remaining.discard(b)
-        remaining.discard(neg)
-        rep = b if min(b, key=abs) > 0 else neg
-        reps.append(tuple(sorted(rep, key=abs)))
-    reps.sort(key=lambda r: abs(r[0]))
+    # one block of each pair has a positive minimum-|x| element; the
+    # representatives' first elements differ, so they sort by it
+    reps = sorted(tuple(sorted(b, key=abs)) for b in others if min(b, key=abs) > 0)
     return SignedSetPartition(n, zero_support, tuple(reps))
 
 
@@ -273,10 +269,8 @@ def count_by_pairs(n: int, family: Family) -> list[int]:
 
 def count_single_positive_zero_block(n: int) -> int:
     """By enumeration: type-B partitions of <n> whose zero-block has exactly
-    one positive element.  Equals B(n) - D(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(1 for p in enum_signed(n, Family.TYPE_B) if len(p.zero_support) == 1)
+    one positive element.  Equals B(n) - D(n), 0 at n = 0."""
+    return sum(1 for p in enum_signed(_size(n), Family.TYPE_B) if not is_type_d(p.zero_support))
 
 
 def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:

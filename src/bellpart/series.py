@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from math import comb
 
-from bellpart.triangles import Family, _lookup
+from bellpart.triangles import Family, _lookup, _size
 
 
 def _half_exp_2x_minus_1(n: int) -> int:
@@ -73,9 +73,8 @@ def _exp(f: list[int]) -> list[list[int]]:
 def egf_triangle(family: Family, order: int) -> list[list[int]]:
     """Rows 0..order of the family's Stirling triangle, from its bivariate EGF."""
     prefactor, f = _lookup(_EGFS, family)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return _mul([prefactor(n) for n in range(order + 1)], _exp([f(n) for n in range(order + 1)]))
+    sizes = range(_size(order, "order") + 1)
+    return _mul([prefactor(n) for n in sizes], _exp([f(n) for n in sizes]))
 
 
 def egf_coefficients(family: Family, order: int) -> list[int]:
@@ -85,6 +84,5 @@ def egf_coefficients(family: Family, order: int) -> list[int]:
 
 def egf_stirling_d_column(k: int, order: int) -> list[int]:
     """n! * [x^n] of (e^x - x) ((e^(2x) - 1)/2)^k / k!; equals S_D(n,k)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _size(k, "k")
     return [row[k] if k < len(row) else 0 for row in egf_triangle(Family.TYPE_D, order)]

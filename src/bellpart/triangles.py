@@ -31,7 +31,9 @@ last two rows it read; ``rows(family)`` walks rows 0, 1, 2, ... in order.
 Rows, cells and Bell numbers exist for n >= 0 only: a negative n raises
 ValueError, whatever k is.  Every family argument, here and in ``series`` and
 ``partitions``, is read through ``_lookup``, so a value that is not a
-``Family``, such as ``"b"``, ``None`` or ``[]``, raises ValueError.
+``Family``, such as ``"b"``, ``None`` or ``[]``, raises ValueError; every
+size argument, in the same three modules, is read through ``_size``, so a
+negative one raises ValueError naming the argument and its value.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def _lookup(table: dict, family: Family):
         return table[family]
     except (KeyError, TypeError):
         raise ValueError(f"not a family: {family!r}") from None
+
+
+def _size(value: int, name: str = "n") -> int:
+    """``value``, the one check of a size argument (a row n, an order, a
+    column k): a negative value raises ValueError."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def _walk(row: list, a, b) -> Iterator[list]:
@@ -128,8 +138,7 @@ def _row(family: Family, n: int) -> list[int]:
     """Row n of the family's triangle: a new list for type D, else maybe one the
     window holds, so callers must not change it.  A row not held is walked to
     from the window's last row, or from row 0 when n is below it."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _size(n)
     if family is Family.TYPE_D:
         u_prev = _u_row(_row(Family.CLASSICAL, n - 1)) if n else []
         return _d_from(n, _row(Family.TYPE_B, n), u_prev)
@@ -239,9 +248,7 @@ def bells(family: Family) -> Iterator[int]:
 
 
 def _nth_bell(family: Family, n: int) -> int:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return next(islice(bells(family), n, None))
+    return next(islice(bells(family), _size(n), None))
 
 
 def bell_a(n: int) -> int:
@@ -310,9 +317,7 @@ class _Tables:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 0:
-            raise ValueError(f"n must be >= 0, got {n_max}")
-        self.n_max = n_max
+        self.n_max = _size(n_max)
 
     @cached_property
     def classical(self) -> list[list[int]]:

@@ -286,6 +286,19 @@ def test_oracle_check(capsys):
     assert out.splitlines()[-1] == "oracle-check: PASS"
 
 
+def test_oracle_check_0_defect(capsys, wrong_cell):
+    # B row 0 read as [2]: B(0) - D(0) = 2 - 1, where the walk finds no
+    # type-B partition of <0> that is not type D
+    wrong_cell(Family.TYPE_B, 0, 0, 2)
+    code, out = run(capsys, "oracle-check", "0")
+    assert code == 1
+    assert out.splitlines() == [
+        "n=0 family=b: MISMATCH [1] != [2]",
+        "n=0 defect: MISMATCH 0 != 1",
+        "oracle-check: FAIL",
+    ]
+
+
 def test_oracle_check_9(capsys):
     code, out = run(capsys, "oracle-check", "9")
     assert code == 0
@@ -361,7 +374,8 @@ def test_closed_stdout_exits_141_quietly():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     for args in (
         ("table", "stirling-b", "--rows", "3000"),
-        # the partition walk keeps O(n) state, so n = 1200 starts streaming
+        # the partition walk holds O(n^2) block references at most, so
+        # n = 1200 starts streaming
         ("enumerate", "classical", "1200"),
     ):
         argv = [sys.executable, "-m", "bellpart.cli", *args]

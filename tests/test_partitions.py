@@ -294,6 +294,24 @@ class TestCanonicalize:
         with pytest.raises(PairingError):
             canonicalize(2, [[0], [1, -1], [2], [-2]])
 
+    def test_both_signs_raised_before_missing_negation(self):
+        # [2] and [-2, 3] lack their negations, but the later [1, -1] holds
+        # both signs, and that check runs over every block first
+        with pytest.raises(PairingError, match=r"block \[-1, 1\] contains both"):
+            canonicalize(3, [[0], [2], [-2, 3], [-3], [1, -1]])
+
+    @pytest.mark.parametrize(
+        "blocks, named",
+        [
+            ([[0], [1], [-1], [3, -2], [2], [-3]], "[-2, 3]"),
+            ([[0], [2], [1], [-1], [3, -2], [-3]], "[2]"),
+        ],
+    )
+    def test_first_missing_negation_in_input_order(self, blocks, named):
+        with pytest.raises(PairingError) as exc:
+            canonicalize(3, blocks)
+        assert str(exc.value) == f"negation of block {named} is missing"
+
     def test_empty_block(self):
         with pytest.raises(InvalidCoverError, match="empty"):
             canonicalize(1, [[0], [1], [-1], []])
@@ -329,8 +347,8 @@ class TestCounts:
             assert count_single_positive_zero_block(n) == bell_b(n) - bell_d(n)
 
     def test_single_positive_rejects_zero(self):
-        with pytest.raises(ValueError):
-            count_single_positive_zero_block(0)
+        # B(0) - D(0) = 0: the zero block of <0> has no positive element
+        assert count_single_positive_zero_block(0) == 0
 
 
 class TestOnePass:
@@ -339,7 +357,7 @@ class TestOnePass:
         counts, defect = count_one_pass(n)
         for family in Family:
             assert counts[family] == count_by_pairs(n, family)
-        assert defect == (count_single_positive_zero_block(n) if n else 0)
+        assert defect == count_single_positive_zero_block(n)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

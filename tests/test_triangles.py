@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpart import triangles
-from bellpart.partitions import count_by_pairs, enum_signed
-from bellpart.series import egf_triangle
+from bellpart.partitions import (
+    canonicalize,
+    count_by_pairs,
+    count_one_pass,
+    count_single_positive_zero_block,
+    enum_classical,
+    enum_signed,
+    line_groups,
+)
+from bellpart.series import egf_coefficients, egf_stirling_d_column, egf_triangle
 from bellpart.triangles import (
     Family,
     bell_a,
@@ -297,6 +305,36 @@ def test_non_family_raises(family):
     ):
         with pytest.raises(ValueError, match="not a family"):
             call()
+
+
+def test_negative_size_raises():
+    # every module reads a size through triangles._size, so -1 raises the
+    # one error wherever it enters, canonicalize's too
+    for call in (
+        *(lambda f=f: stirling_row(f, -1) for f in Family),
+        *(lambda f=f: stirling(f, -1, 0) for f in Family),
+        lambda: stirling2(-1, 0),
+        lambda: stirling_b(-1, 1),
+        lambda: stirling_d(-1, -1),
+        *(lambda f=f: bell(f, -1) for f in Family),
+        lambda: bell_a(-1),
+        lambda: bell_b(-1),
+        lambda: bell_d(-1),
+        lambda: verify_identity("THM_4_7", -1),
+        lambda: egf_triangle(Family.TYPE_B, -1),
+        lambda: egf_coefficients(Family.CLASSICAL, -1),
+        lambda: egf_stirling_d_column(-1, 3),
+        lambda: next(enum_classical(-1)),
+        lambda: next(enum_signed(-1, Family.TYPE_B)),
+        lambda: next(line_groups(-1, Family.TYPE_B, False, None)),
+        lambda: count_one_pass(-1),
+        lambda: count_by_pairs(-1, Family.TYPE_D),
+        lambda: count_single_positive_zero_block(-1),
+        lambda: canonicalize(-1, []),
+    ):
+        with pytest.raises(ValueError, match=r"^(n|order|k) must be >= 0, got -1$") as exc:
+            call()
+        assert exc.type is ValueError
 
 
 class TestIdentities:
