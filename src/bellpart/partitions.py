@@ -13,9 +13,11 @@ none (|zero_support| != 1); ``is_type_d`` holds that rule, and ``_walk``
 skips the one-element supports for type D.
 
 Every family's partitions render in one notation per format, text or JSON
-(the bytes of ``json.dumps(..., separators=(",", ":"))``), which ``_ends``
-and ``_block_text`` write: ``line_groups`` for the CLI, ``render_text`` and
-``render_json`` for one partition.
+(the bytes of ``json.dumps(..., separators=(",", ":"))``).  Every line is
+``head + sep.join([*lead, *block texts]) + tail``: ``_frame`` gives the
+head, separator, tail and lead (the zero block, in signed text only), and
+``_block_text`` each bare block.  ``line_groups`` writes the lines for the
+CLI, ``render_text`` and ``render_json`` one partition's.
 
 Every size n is read through ``triangles._size`` and every family through
 ``triangles._lookup``, so a negative n or a value that is not a Family
@@ -66,30 +68,33 @@ class SignedSetPartition(NamedTuple):
         return _line(self.n, self.zero_support, self.pairs, True)
 
 
-def _ends(n: int, zero_support: Sequence[int] | None, as_json: bool) -> tuple[str, str]:
-    """A line's text before and after its blocks; a classical one has no zero_support."""
+def _frame(
+    n: int, zero_support: Sequence[int] | None, as_json: bool
+) -> tuple[str, str, str, list[str]]:
+    """A line's head, separator, tail and lead: every line is
+    ``head + sep.join([*lead, *block texts]) + tail``, where the lead is the
+    zero block of signed text and empty otherwise; a classical line has no
+    zero_support."""
     if zero_support is None:
-        return (f'{{"n":{n},"blocks":[', "]}") if as_json else ("", "")
+        return (f'{{"n":{n},"blocks":[', ",", "]}", []) if as_json else ("", " | ", "", [])
     if as_json:
-        return f'{{"n":{n},"zero_support":[{",".join(map(str, zero_support))}],"pairs":[', "]}"
-    return "0" + "".join(f",±{i}" for i in zero_support), ""
+        support = ",".join(map(str, zero_support))
+        return f'{{"n":{n},"zero_support":[{support}],"pairs":[', ",", "]}", []
+    return "", " | ", "", ["0" + "".join(f",±{i}" for i in zero_support)]
 
 
-def _block_text(rep: Sequence[int], signed: bool, as_json: bool, first: bool) -> str:
-    """A block and the separator before it, which a first block has only in
-    signed text, after the zero block; a text pair shows as ``p/-p``."""
+def _block_text(rep: Sequence[int], signed: bool, as_json: bool) -> str:
+    """One block, bare; a text pair shows as ``p/-p``."""
     text = ",".join(map(str, rep))
     if as_json:
-        return f"[{text}]" if first else f",[{text}]"
-    if signed:
-        text += "/" + ",".join(str(-x) for x in rep)
-    return text if first and not signed else " | " + text
+        return f"[{text}]"
+    return text + "/" + ",".join(str(-x) for x in rep) if signed else text
 
 
 def _line(n: int, zero_support: Sequence[int] | None, reps: Sequence, as_json: bool) -> str:
-    head, tail = _ends(n, zero_support, as_json)
+    head, sep, tail, lead = _frame(n, zero_support, as_json)
     signed = zero_support is not None
-    return head + "".join(_block_text(r, signed, as_json, not i) for i, r in enumerate(reps)) + tail
+    return head + sep.join([*lead, *(_block_text(r, signed, as_json) for r in reps)]) + tail
 
 
 def _grown(blocks: tuple, e: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -187,22 +192,18 @@ def line_groups(n: int, family: Family, as_json: bool, pairs: int | None) -> Ite
     one list per unsigned partition of the walk, with no partition object
     built: each distinct block's texts are rendered once per call."""
     signed = family is not Family.CLASSICAL
-    later: dict[tuple[int, ...], list[str]] = {}
-    first = later if signed and not as_json else {}  # as _block_text renders them
+    pairs = pairs if pairs is None else _size(pairs, "pairs")
+    cache: dict[tuple[int, ...], list[str]] = {}
     for zero_support, blocks in _walk(n, family):
         if pairs is not None and len(blocks) != pairs:
             continue
-        head, tail = _ends(n, zero_support if signed else None, as_json)
-        lines, cache = [head], first
+        head, sep, tail, lead = _frame(n, zero_support if signed else None, as_json)
         for block in blocks:
-            texts = cache.get(block)
-            if texts is None:
+            if block not in cache:
                 reps = _signed_reps(block) if signed else [block]
-                texts = [_block_text(r, signed, as_json, cache is first) for r in reps]
-                cache[block] = texts
-            lines = [line + text for line in lines for text in texts]
-            cache = later
-        yield [line + tail for line in lines] if tail else lines
+                cache[block] = [_block_text(r, signed, as_json) for r in reps]
+        choices = itertools.product(*([text] for text in lead), *map(cache.get, blocks))
+        yield [head + sep.join(parts) + tail for parts in choices]
 
 
 def classify(p: SignedSetPartition) -> Family:

@@ -68,8 +68,8 @@ def _lookup(table: dict, family: Family):
 
 
 def _size(value: int, name: str = "n") -> int:
-    """``value``, the one check of a size argument (a row n, an order, a
-    column k): a negative value raises ValueError."""
+    """``value``, the one check of a size argument (a row n, a bound n_max,
+    an order, a column k, a pair count): a negative value raises ValueError."""
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
@@ -93,6 +93,7 @@ def _weighted_walk(family: Family, row: list, one=1) -> Iterator[list]:
 def extend_weighted_rows(rows: list[list[int]], family: Family, n_max: int) -> list[list[int]]:
     """Extend ``rows`` (empty or a valid prefix) to rows 0..n_max from ``_weighted_walk``,
     which starts at the last row held, or at row 0, and hands it back first."""
+    n_max = _size(n_max, "n_max")
     walk = _weighted_walk(family, rows.pop() if rows else [1])
     rows.extend(islice(walk, max(1, n_max + 1 - len(rows))))
     return rows

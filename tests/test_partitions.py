@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpart.partitions import (
+    ClassicalSetPartition,
     InvalidCoverError,
     PairingError,
     SignedSetPartition,
@@ -367,6 +368,43 @@ class TestOnePass:
 def test_render_text_zero_support():
     p = canonicalize(5, [[0, 2, -2, 3, -3, 5, -5], [1], [-1], [4], [-4]])
     assert p.render_text() == "0,±2,±3,±5 | 1/-1 | 4/-4"
+
+
+@pytest.mark.parametrize(
+    "record, walk, text, as_json",
+    [
+        # no blocks at all: the frame alone, and the zero block of signed text
+        (ClassicalSetPartition(0, ()), (0, Family.CLASSICAL, None), "", '{"n":0,"blocks":[]}'),
+        (
+            SignedSetPartition(0, (), ()),
+            (0, Family.TYPE_B, None),
+            "0",
+            '{"n":0,"zero_support":[],"pairs":[]}',
+        ),
+        # pairs after an empty zero support
+        (
+            SignedSetPartition(3, (), ((1, 2), (3,))),
+            (3, Family.TYPE_D, 2),
+            "0 | 1,2/-1,-2 | 3/-3",
+            '{"n":3,"zero_support":[],"pairs":[[1,2],[3]]}',
+        ),
+        # a zero support and no pairs
+        (
+            SignedSetPartition(2, (1, 2), ()),
+            (2, Family.TYPE_B, 0),
+            "0,±1,±2",
+            '{"n":2,"zero_support":[1,2],"pairs":[]}',
+        ),
+    ],
+    ids=["classical-empty", "signed-empty", "pairs-only", "zero-only"],
+)
+def test_frame_edges(record, walk, text, as_json):
+    # each record is the first partition of its walk, so its render_* and
+    # line_groups' first line, written by the same frame, must agree
+    n, family, pairs = walk
+    assert record.render_text() == next(line_groups(n, family, False, pairs))[0] == text
+    assert record.render_json() == next(line_groups(n, family, True, pairs))[0] == as_json
+    assert json.dumps(record._asdict(), separators=(",", ":")) == as_json
 
 
 def test_streaming_is_lazy():

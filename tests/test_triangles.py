@@ -309,7 +309,8 @@ def test_non_family_raises(family):
 
 def test_negative_size_raises():
     # every module reads a size through triangles._size, so -1 raises the
-    # one error wherever it enters, canonicalize's too
+    # one error wherever it enters, canonicalize's, a row bound's and a
+    # pair count's too
     for call in (
         *(lambda f=f: stirling_row(f, -1) for f in Family),
         *(lambda f=f: stirling(f, -1, 0) for f in Family),
@@ -331,8 +332,12 @@ def test_negative_size_raises():
         lambda: count_by_pairs(-1, Family.TYPE_D),
         lambda: count_single_positive_zero_block(-1),
         lambda: canonicalize(-1, []),
+        lambda: extend_weighted_rows([], Family.TYPE_B, -1),
+        lambda: next(line_groups(3, Family.TYPE_B, False, -1)),
     ):
-        with pytest.raises(ValueError, match=r"^(n|order|k) must be >= 0, got -1$") as exc:
+        with pytest.raises(
+            ValueError, match=r"^(n|order|k|n_max|pairs) must be >= 0, got -1$"
+        ) as exc:
             call()
         assert exc.type is ValueError
 
