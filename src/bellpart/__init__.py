@@ -13,44 +13,41 @@ __version__ = "0.1.0"
 # The triangle recurrences have one implementation, in pure Python.
 KERNEL_IMPL = "python"
 
-__all__ = [
-    "Family",
-    "IdentityReport",
-    "bell",
-    "bell_a",
-    "bell_b",
-    "bell_d",
-    "stirling",
-    "stirling2",
-    "stirling_b",
-    "stirling_d",
-    "stirling_row",
-    "verify_identity",
-    "ClassicalSetPartition",
-    "SignedSetPartition",
-    "canonicalize",
-    "classify",
-    "count_by_pairs",
-    "count_single_positive_zero_block",
-    "enum_classical",
-    "enum_signed",
-    "egf_coefficients",
-    "egf_stirling_d_column",
-    "egf_triangle",
-    "Interval",
-    "dobinski_a",
-    "dobinski_b",
-    "dobinski_d",
-    "exp_neg_bounds",
-    "KERNEL_IMPL",
-]
+# The submodule that defines each exported name.
+_EXPORTS = {
+    "triangles": (
+        "Family",
+        "IdentityReport",
+        "bell",
+        "bell_a",
+        "bell_b",
+        "bell_d",
+        "stirling",
+        "stirling2",
+        "stirling_b",
+        "stirling_d",
+        "stirling_row",
+        "verify_identity",
+    ),
+    "partitions": (
+        "ClassicalSetPartition",
+        "SignedSetPartition",
+        "canonicalize",
+        "classify",
+        "count_by_pairs",
+        "count_single_positive_zero_block",
+        "enum_classical",
+        "enum_signed",
+    ),
+    "series": ("egf_coefficients", "egf_stirling_d_column", "egf_triangle"),
+    "dobinski": ("Interval", "dobinski_a", "dobinski_b", "dobinski_d", "exp_neg_bounds"),
+}
 
-_SUBMODULES = ("cli", "dobinski", "partitions", "series", "triangles")
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# The submodule that defines each exported name, in the order of __all__.
-_ORIGIN = dict(
-    zip(__all__, ["triangles"] * 12 + ["partitions"] * 8 + ["series"] * 3 + ["dobinski"] * 5)
-)
+__all__ = [*_ORIGIN, "KERNEL_IMPL"]
+
+_SUBMODULES = ("cli", *_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -12,14 +12,16 @@ triangle is the bivariate EGF P(x) exp(t f(x)) = sum S(n,k) t^k x^n / n!
     type D:     P = e^x - x,  f = h
 
 so column k is P f^k / k!, and t = 1 gives the Bell EGFs, among them the
-paper's D(x) = exp((e^(2x) - 1)/2) (e^x - x).  exp(t f) for f_0 = 0
-follows from g' = t f' g as
+paper's D(x) = exp((e^(2x) - 1)/2) (e^x - x).  The product with P and
+exp(t f) share one binomial convolution, ``_conv``, whose row n is
+sum_(i=0..n) C(n, i) a_i g_(n-i).  The product takes a = P; exp(t f) for
+f_0 = 0 follows from g' = t f' g as
 
-    g_0 = [1],  g_m = sum_(j=1..m) C(m-1, j-1) f_j t g_(m-j),
+    g_0 = [1],  g_m = t sum_(i=0..m-1) C(m-1, i) f_(i+1) g_(m-1-i),
 
-for f = e^x - 1 the classical "block holding element m" recurrence
-S(m,k) = sum_j C(m-1, j-1) S(m-j, k-1); the product with P is the binomial
-convolution c_n = sum_(i=0..n) C(n, i) P_i g_(n-i).
+the convolution with a = f' = (f_1, f_2, ...) shifted by one power of t;
+for f = e^x - 1 it is the classical "block holding element m" recurrence
+S(m,k) = sum_j C(m-1, j-1) S(m-j, k-1).
 """
 
 from __future__ import annotations
@@ -42,31 +44,29 @@ _EGFS = {
 }
 
 
+def _conv(a: list[int], g: list[list[int]], n: int) -> list[int]:
+    """Row n of the binomial convolution sum_i C(n, i) a_i g_(n-i), a
+    polynomial in t of degree n at most."""
+    row = [0] * (n + 1)
+    for i in range(n + 1):
+        c = comb(n, i) * a[i]
+        if c:
+            row[: n - i + 1] = [r + c * v for r, v in zip(row, g[n - i])]
+    return row
+
+
 def _mul(a: list[int], g: list[list[int]]) -> list[list[int]]:
     """Product of a series and a bivariate series of the same order."""
-    out = []
-    for n in range(len(g)):
-        row = [0] * (n + 1)
-        for i in range(n + 1):
-            c = comb(n, i) * a[i]
-            if c:
-                row[: n - i + 1] = [r + c * v for r, v in zip(row, g[n - i])]
-        out.append(row)
-    return out
+    return [_conv(a, g, n) for n in range(len(g))]
 
 
 def _exp(f: list[int]) -> list[list[int]]:
     """exp(t f) for a series with f_0 = 0."""
     if f[0] != 0:
         raise ValueError("exp requires a zero constant term")
-    g = [[1]]
+    g, df = [[1]], f[1:]
     for m in range(1, len(f)):
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            c = comb(m - 1, j - 1) * f[j]
-            # t g_(m-j) holds t^1 .. t^(m-j+1)
-            row[1 : m - j + 2] = [r + c * v for r, v in zip(row[1:], g[m - j])]
-        g.append(row)
+        g.append([0, *_conv(df, g, m - 1)])
     return g
 
 

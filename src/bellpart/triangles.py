@@ -42,7 +42,7 @@ import decimal
 from collections import deque
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat, zip_longest
 from operator import add, mul, sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -301,7 +301,9 @@ class IdentityReport(NamedTuple):
     identity_id: str
     n_max: int
     status: bool
-    first_failure: Optional[tuple[int, Optional[int], int, int]] = None
+    # (n, k, lhs, rhs) of the first failure: k is None for scalar identities,
+    # and a cell that one side of a row identity lacks reads None
+    first_failure: Optional[tuple[int, Optional[int], Optional[int], Optional[int]]] = None
     # per-n (n, common value) pairs for scalar identities; None for the
     # per-(n,k) ones
     values: Optional[tuple[tuple[int, int], ...]] = None
@@ -312,13 +314,14 @@ class _Tables:
 
     Rows 0..n_max are walked for this object alone, which one ``verify``
     call shares among its identities.  The D rows are ``_d_rows`` of these B
-    rows, as ``rows(TYPE_D)`` prints them; the classical rows, and W and
-    ``d_from_b`` read from them, are the reference D is checked against.
+    rows, as ``rows(TYPE_D)`` prints them; the classical rows, and what W,
+    ``b_from_classical`` and ``d_from_b`` shift from them into U by
+    ``_u_row``, never from the U walk, are the reference D is checked against.
     Every table is built on first use, so the checks build only what they read.
     """
 
     def __init__(self, n_max: int):
-        self.n_max = _size(n_max)
+        self.n_max = _size(n_max, "n_max")
 
     @cached_property
     def classical(self) -> list[list[int]]:
@@ -334,11 +337,8 @@ class _Tables:
 
     @cached_property
     def pascal(self) -> list[list[int]]:
-        """Rows of C(n, i), each from the one before by the Pascal step."""
-        rows = [[1]]
-        while len(rows) <= self.n_max:
-            rows.append([1, *(a + b for a, b in zip(rows[-1], rows[-1][1:])), 1])
-        return rows
+        """Rows of C(n, i): Pascal's rule is the row step with w(k) = 1."""
+        return list(islice(_walk([1], 1, 0), self.n_max + 1))
 
     @cached_property
     def bell_b(self) -> list[int]:
@@ -350,7 +350,7 @@ class _Tables:
 
     @cached_property
     def w(self) -> list[int]:
-        """W(m) = sum_k 2^(m-k) S(m,k), from the classical rows."""
+        """W(m) = sum_k U(m,k), U shifted from the classical rows."""
         return [sum(_u_row(row)) for row in self.classical]
 
     def binomial_sum(self, n: int, x: list[int], shift: int) -> int:
@@ -358,18 +358,17 @@ class _Tables:
         return sum((c * x[n - k]) << (shift * k) for k, c in enumerate(self.pascal[n]))
 
     def b_from_classical(self, n: int) -> list[int]:
-        """sum_i 2^(i-k) C(n,i) S(i,k) for k = 0..n."""
-        pascal, classical = self.pascal[n], self.classical
-        return [
-            sum((pascal[i] * classical[i][k]) << (i - k) for i in range(k, n + 1))
-            for k in range(n + 1)
-        ]
+        """sum_i C(n,i) U(i,k) for k = 0..n, one U row at a time."""
+        rhs = [0] * (n + 1)
+        for c, row in zip(self.pascal[n], self.classical):
+            rhs[: len(row)] = map(add, rhs, map(mul, repeat(c), _u_row(row)))
+        return rhs
 
     def d_from_b(self, n: int) -> list[int]:
-        """S_B(n,k) - n 2^(n-1-k) S(n-1,k) for k < n, then S_B(n,n)."""
-        prev = self.classical[n - 1] if n else []
-        rhs = [b - ((n * s) << (n - 1 - k)) for k, (b, s) in enumerate(zip(self.b[n], prev))]
-        return rhs + [self.b[n][n]]
+        """S_B(n,k) - n U(n-1,k) for k < n, U shifted from classical row n - 1,
+        then S_B(n,n)."""
+        u_prev = _u_row(self.classical[n - 1]) if n else []
+        return [*map(sub, self.b[n], map(mul, repeat(n), u_prev)), self.b[n][n]]
 
 
 class _Identity(NamedTuple):
@@ -438,15 +437,14 @@ def verify_identity(
         raise ValueError(f"n_max must be in 0..{tables.n_max}, got {n_max}")
     identity = _IDENTITIES[identity_id]
 
-    failure: Optional[tuple[int, Optional[int], int, int]] = None
+    failure: Optional[tuple[int, Optional[int], Optional[int], Optional[int]]] = None
     values: list[tuple[int, int]] = []
     for n in range(identity.first_n, n_max + 1 - identity.shift):
         lhs, rhs = identity.sides(n, tables)
         if identity.rows:
-            failure = next(
-                ((n, k, l, r) for k, (l, r) in enumerate(zip(lhs, rhs)) if l != r or l < 0),
-                None,
-            )
+            # a cell that one side lacks reads None, and fails
+            cells = enumerate(zip_longest(lhs, rhs))
+            failure = next(((n, k, l, r) for k, (l, r) in cells if l != r or l < 0), None)
         else:
             values.append((n + identity.shift, rhs))
             if lhs != rhs or lhs < 0:

@@ -21,6 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from bellpart.cli import main
+from bellpart.triangles import IDENTITY_IDS
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -36,7 +37,9 @@ CASES = [
         for rows in (7, 300)
     ),
     *(f"verify all --max-n {n}" for n in (0, 6, 60)),
-    *(f"egf-check {n}" for n in (0, 40)),
+    # a single identity prints its per-n values
+    *(f"verify {ident} --max-n {n}" for ident in IDENTITY_IDS for n in (0, 12)),
+    *(f"egf-check {n}" for n in (0, 40, 100)),
     *(f"oracle-check {n}" for n in (0, 7)),
     *(
         f"enumerate {f} {n}{pairs}{opt}"

@@ -181,3 +181,34 @@ def test_bell_fault_egf_lines(capsys, monkeypatch):
         "bell-d": "MISMATCH",
         "egf-check": "FAIL",
     }
+
+
+def _short_d_rows(monkeypatch):
+    # every row _d_from builds loses its last cell: the left side of D_FROM_B
+    d_from = triangles._d_from
+    monkeypatch.setattr(triangles, "_d_from", lambda *args: d_from(*args)[:-1])
+
+
+def _short_b_from_classical(monkeypatch):
+    # the right side of B_FROM_CLASSICAL loses its last cell
+    b_from_classical = triangles._Tables.b_from_classical
+    monkeypatch.setattr(
+        triangles._Tables, "b_from_classical", lambda self, n: b_from_classical(self, n)[:-1]
+    )
+
+
+SHORT_ROWS = {
+    "D_FROM_B": (_short_d_rows, (0, 0, None, 1)),
+    "B_FROM_CLASSICAL": (_short_b_from_classical, (0, 0, 1, None)),
+}
+
+
+@pytest.mark.parametrize("ident", SHORT_ROWS)
+def test_short_row_fails(capsys, monkeypatch, ident):
+    # a row identity compares every cell: one that a side lacks reads None
+    inject, failure = SHORT_ROWS[ident]
+    inject(monkeypatch)
+    assert verify_identity(ident, 4).first_failure == failure
+    assert main(["verify", ident, "--max-n", "4"]) == 1
+    _, _, lhs, rhs = failure
+    assert capsys.readouterr().out == f"{ident}: FAIL at n=0 k=0: lhs={lhs} rhs={rhs}\n"

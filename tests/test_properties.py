@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpart.dobinski import dobinski_a, dobinski_b, dobinski_d
-from bellpart.partitions import canonicalize, enum_signed
+from bellpart.partitions import canonicalize, count_one_pass, enum_signed, line_groups
 from bellpart.series import egf_triangle
 from bellpart.triangles import Family, bell, bell_a, bell_b, bell_d, stirling_row
 
@@ -24,6 +24,17 @@ def test_row_matches_egf_triangle(family, n):
 def test_bell_recurrence_matches_row_sum(family, n):
     # bell reads the Bell recurrence; the row comes from the row walk
     assert bell(family, n) == sum(stirling_row(family, n))
+
+
+@given(st.sampled_from(Family), st.integers(0, 6), st.booleans(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_enumeration_matches_row(family, n, as_json, data):
+    # the enumeration route walks partitions; the row comes from the row walk
+    k = data.draw(st.integers(0, n), label="k")
+    row = stirling_row(family, n)
+    lines = [line for group in line_groups(n, family, as_json, k) for line in group]
+    assert len(lines) == len(set(lines)) == row[k]
+    assert count_one_pass(n)[0][family] == row
 
 
 @given(st.integers(0, 80))

@@ -310,34 +310,32 @@ def test_non_family_raises(family):
 def test_negative_size_raises():
     # every module reads a size through triangles._size, so -1 raises the
     # one error wherever it enters, canonicalize's, a row bound's and a
-    # pair count's too
-    for call in (
-        *(lambda f=f: stirling_row(f, -1) for f in Family),
-        *(lambda f=f: stirling(f, -1, 0) for f in Family),
-        lambda: stirling2(-1, 0),
-        lambda: stirling_b(-1, 1),
-        lambda: stirling_d(-1, -1),
-        *(lambda f=f: bell(f, -1) for f in Family),
-        lambda: bell_a(-1),
-        lambda: bell_b(-1),
-        lambda: bell_d(-1),
-        lambda: verify_identity("THM_4_7", -1),
-        lambda: egf_triangle(Family.TYPE_B, -1),
-        lambda: egf_coefficients(Family.CLASSICAL, -1),
-        lambda: egf_stirling_d_column(-1, 3),
-        lambda: next(enum_classical(-1)),
-        lambda: next(enum_signed(-1, Family.TYPE_B)),
-        lambda: next(line_groups(-1, Family.TYPE_B, False, None)),
-        lambda: count_one_pass(-1),
-        lambda: count_by_pairs(-1, Family.TYPE_D),
-        lambda: count_single_positive_zero_block(-1),
-        lambda: canonicalize(-1, []),
-        lambda: extend_weighted_rows([], Family.TYPE_B, -1),
-        lambda: next(line_groups(3, Family.TYPE_B, False, -1)),
+    # pair count's too, and names the argument it entered by
+    for name, call in (
+        *(("n", lambda f=f: stirling_row(f, -1)) for f in Family),
+        *(("n", lambda f=f: stirling(f, -1, 0)) for f in Family),
+        ("n", lambda: stirling2(-1, 0)),
+        ("n", lambda: stirling_b(-1, 1)),
+        ("n", lambda: stirling_d(-1, -1)),
+        *(("n", lambda f=f: bell(f, -1)) for f in Family),
+        ("n", lambda: bell_a(-1)),
+        ("n", lambda: bell_b(-1)),
+        ("n", lambda: bell_d(-1)),
+        ("n_max", lambda: verify_identity("THM_4_7", -1)),
+        ("order", lambda: egf_triangle(Family.TYPE_B, -1)),
+        ("order", lambda: egf_coefficients(Family.CLASSICAL, -1)),
+        ("k", lambda: egf_stirling_d_column(-1, 3)),
+        ("n", lambda: next(enum_classical(-1))),
+        ("n", lambda: next(enum_signed(-1, Family.TYPE_B))),
+        ("n", lambda: next(line_groups(-1, Family.TYPE_B, False, None))),
+        ("n", lambda: count_one_pass(-1)),
+        ("n", lambda: count_by_pairs(-1, Family.TYPE_D)),
+        ("n", lambda: count_single_positive_zero_block(-1)),
+        ("n", lambda: canonicalize(-1, [])),
+        ("n_max", lambda: extend_weighted_rows([], Family.TYPE_B, -1)),
+        ("pairs", lambda: next(line_groups(3, Family.TYPE_B, False, -1))),
     ):
-        with pytest.raises(
-            ValueError, match=r"^(n|order|k|n_max|pairs) must be >= 0, got -1$"
-        ) as exc:
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -1$") as exc:
             call()
         assert exc.type is ValueError
 
