@@ -95,20 +95,19 @@ def cmd_oracle_check(args) -> int:
     ok = True
     walks = zip(*(triangles.rows(family) for family in Family))
     for n, expected_rows in zip(range(args.n_max + 1), walks):
-        n_ok = True
         counts_by_family, defect = partitions.count_one_pass(n)
-        for family, expected in zip(Family, expected_rows):
-            counts = counts_by_family[family]
-            if counts != expected:
-                n_ok = False
-                print(f"n={n} family={family.value}: MISMATCH {counts} != {expected}")
         bell_a, bell_b, bell_d = map(sum, expected_rows)
-        if defect != bell_b - bell_d:
-            n_ok = False
-            print(f"n={n} defect: MISMATCH {defect} != {bell_b - bell_d}")
-        if n_ok:
+        checks = [
+            (f"family={family.value}", counts_by_family[family], expected)
+            for family, expected in zip(Family, expected_rows)
+        ]
+        checks.append(("defect", defect, bell_b - bell_d))
+        mismatches = [(name, got, want) for name, got, want in checks if got != want]
+        for name, got, want in mismatches:
+            print(f"n={n} {name}: MISMATCH {got} != {want}")
+        if not mismatches:
             print(f"n={n} ok: A={bell_a} B={bell_b} D={bell_d}")
-        ok = ok and n_ok
+        ok = ok and not mismatches
     print("oracle-check: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
@@ -149,27 +148,24 @@ def cmd_egf_check(args) -> int:
     return 0 if ok else 1
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid nonnegative int: {text!r}")
+def _arg(read, what: str):
+    """An argparse type that is ``read``, the library's own check: its
+    ValueError, or the ZeroDivisionError of ``Fraction("3/0")``, which
+    argparse would not catch, is a usage error."""
 
+    def convert(text: str):
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid {what}: {text!r}") from None
 
-def _positive_fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-        if value > 0:
-            return value
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise argparse.ArgumentTypeError(f"invalid width: {text!r}")
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a size or a width is accepted exactly when the library accepts it
+    size = _arg(lambda text: triangles._size(int(text)), "nonnegative int")
+    width = _arg(dobinski._width, "width")
     parser = argparse.ArgumentParser(
         prog="bellpart",
         description="Exact Bell/Stirling numbers of types classical, B and D, "
@@ -179,37 +175,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="print a Stirling triangle or Bell sequence")
     p.add_argument("family", choices=sorted(_TABLE_FAMILIES))
-    p.add_argument("--rows", type=_nonnegative_int, required=True, metavar="N")
+    p.add_argument("--rows", type=size, required=True, metavar="N")
     p.add_argument("--format", choices=["tsv", "json", "text"], default="tsv")
     p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("verify", help="check identities by exact arithmetic")
     p.add_argument("identity", choices=list(triangles.IDENTITY_IDS) + ["all"])
-    p.add_argument("--max-n", type=_nonnegative_int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=size, required=True, dest="max_n")
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("enumerate", help="stream partitions")
     p.add_argument("family", choices=sorted(f.value for f in Family))
-    p.add_argument("n", type=_nonnegative_int)
+    p.add_argument("n", type=size)
     p.add_argument(
-        "--pairs", type=_nonnegative_int, default=None,
+        "--pairs", type=size, default=None,
         help="only the partitions of this many pairs of blocks (blocks, for classical)",
     )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(run=cmd_enumerate)
 
     p = sub.add_parser("oracle-check", help="enumeration vs recurrence counts")
-    p.add_argument("n_max", type=_nonnegative_int)
+    p.add_argument("n_max", type=size)
     p.set_defaults(run=cmd_oracle_check)
 
     p = sub.add_parser("dobinski", help="interval evaluation of the explicit formulas")
     p.add_argument("family", choices=sorted(_DOBINSKI_FN))
-    p.add_argument("n", type=_nonnegative_int)
-    p.add_argument("width", type=_positive_fraction, help="rational width target, e.g. 1/2")
+    p.add_argument("n", type=size)
+    p.add_argument("width", type=width, help="rational width target, e.g. 1/2")
     p.set_defaults(run=cmd_dobinski)
 
     p = sub.add_parser("egf-check", help="generating-function coefficients vs exact values")
-    p.add_argument("order", type=_nonnegative_int)
+    p.add_argument("order", type=size)
     p.set_defaults(run=cmd_egf_check)
 
     return parser

@@ -86,6 +86,15 @@ def _num_d(n: int, r: int) -> int:
     return num
 
 
+def _width(width_target) -> Fraction:
+    """``width_target`` as a Fraction, the one check of a width: a width
+    that is not > 0 raises ValueError."""
+    width = Fraction(width_target)
+    if width <= 0:
+        raise ValueError("width_target must be > 0")
+    return width
+
+
 def _enclose(num, tail_num, q: int, n: int, width_target) -> Interval:
     """e^(-1/q) * sum_r num(n, r) / (q^r r!), enclosed to the requested width.
 
@@ -96,9 +105,7 @@ def _enclose(num, tail_num, q: int, n: int, width_target) -> Interval:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    width = Fraction(width_target)
-    if width <= 0:
-        raise ValueError("width_target must be > 0")
+    width = _width(width_target)
     # R is the first r >= max(n, 7) with T <= width / 2
     for r, s, den in _partial_sums(partial(num, n), q):
         tail, tail_den = 2 * tail_num(n, r + 1), den * q * (r + 1)

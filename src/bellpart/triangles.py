@@ -33,7 +33,8 @@ ValueError, whatever k is.  Every family argument, here and in ``series`` and
 ``partitions``, is read through ``_lookup``, so a value that is not a
 ``Family``, such as ``"b"``, ``None`` or ``[]``, raises ValueError; every
 size argument, in the same three modules, is read through ``_size``, so a
-negative one raises ValueError naming the argument and its value.
+negative one raises ValueError naming the argument and its value, and one
+that is not an integer, such as ``2.5`` or ``"3"``, raises TypeError.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from collections import deque
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat, zip_longest
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -69,8 +70,10 @@ def _lookup(table: dict, family: Family):
 
 def _size(value: int, name: str = "n") -> int:
     """``value``, the one check of a size argument (a row n, a bound n_max,
-    an order, a column k, a pair count): a negative value raises ValueError."""
-    if value < 0:
+    an order, a column k, a pair count): a value that is not an integer,
+    such as ``2.5``, ``2.0`` or ``"3"``, raises TypeError, and a negative
+    one ValueError."""
+    if index(value) < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
@@ -155,8 +158,9 @@ def _row(family: Family, n: int) -> list[int]:
 
 def _cell(family: Family, n: int, k: int) -> int:
     """Cell (n, k) of the family's triangle: 0 for k outside 0..n, and for a
-    negative n the ValueError of ``_row``."""
-    if n >= 0 and not 0 <= k <= n:
+    negative n the ValueError of ``_size``, whatever k is."""
+    _size(n)
+    if not 0 <= k <= n:
         return 0
     return _row(family, n)[k]
 
@@ -372,18 +376,16 @@ class _Tables:
 
 
 class _Identity(NamedTuple):
-    # (n, tables) -> (lhs, rhs): whole rows if ``rows``, else ints
+    # (n, tables) -> (lhs, rhs): whole rows (lists) or ints
     sides: Callable[[int, _Tables], tuple]
-    rows: bool = False
-    first_n: int = 0
     # A recurrence for n + 1 is checked for n < n_max; it reports its
     # values at n + 1 and a failure at the base index n.
     shift: int = 0
 
 
 _IDENTITIES = {
-    "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n)), rows=True),
-    "D_FROM_B": _Identity(lambda n, t: (t.d[n], t.d_from_b(n)), rows=True),
+    "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n))),
+    "D_FROM_B": _Identity(lambda n, t: (t.d[n], t.d_from_b(n))),
     "B_BELL_REC": _Identity(
         lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.binomial_sum(n, t.bell_b, 1)), shift=1
     ),
@@ -402,8 +404,8 @@ _IDENTITIES = {
         shift=1,
     ),
     "ZERO_BLOCK_DEFECT": _Identity(
-        # n W(n-1), the closed form of B(n) - D(n) for n >= 1
-        lambda n, t: (t.bell_b[n] - t.bell_d[n], n * t.w[n - 1]), first_n=1
+        # n W(n-1), the closed form of B(n) - D(n); 0 at n = 0
+        lambda n, t: (t.bell_b[n] - t.bell_d[n], n * t.w[n - 1] if n else 0)
     ),
     # sum_(i>=1) C(n,i) W(n-i) = B(n) - W(n)
     "THM_4_7": _Identity(lambda n, t: (t.binomial_sum(n, t.w, 0) - t.w[n], t.bell_b[n] - t.w[n])),
@@ -438,10 +440,11 @@ def verify_identity(
     identity = _IDENTITIES[identity_id]
 
     failure: Optional[tuple[int, Optional[int], Optional[int], Optional[int]]] = None
-    values: list[tuple[int, int]] = []
-    for n in range(identity.first_n, n_max + 1 - identity.shift):
+    values: Optional[list[tuple[int, int]]] = []
+    for n in range(n_max + 1 - identity.shift):
         lhs, rhs = identity.sides(n, tables)
-        if identity.rows:
+        if isinstance(lhs, list):
+            values = None
             # a cell that one side lacks reads None, and fails
             cells = enumerate(zip_longest(lhs, rhs))
             failure = next(((n, k, l, r) for k, (l, r) in cells if l != r or l < 0), None)
@@ -457,5 +460,5 @@ def verify_identity(
         n_max=n_max,
         status=failure is None,
         first_failure=failure,
-        values=None if identity.rows else tuple(values),
+        values=None if values is None else tuple(values),
     )

@@ -340,6 +340,34 @@ def test_negative_size_raises():
         assert exc.type is ValueError
 
 
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda: bell_a(2.5), "float"),
+        (lambda: stirling2(2.0, 1), "float"),
+        (lambda: stirling2(2.0, 5), "float"),  # a k outside 0..n, checked after n
+        (lambda: stirling_row(Family.TYPE_B, "3"), "str"),
+        (lambda: egf_triangle(Family.TYPE_B, 2.5), "float"),
+        (lambda: verify_identity("THM_4_7", 2.5), "float"),
+        (lambda: next(line_groups(2.5, Family.TYPE_B, False, None)), "float"),
+    ],
+    ids=[
+        "bell_a",
+        "stirling2",
+        "stirling2_outside",
+        "stirling_row",
+        "egf_triangle",
+        "verify_identity",
+        "line_groups",
+    ],
+)
+def test_non_integer_size_raises(call, kind):
+    # _size reads a size through operator.index, so a float or a string
+    # fails at the check, not deep inside a walk or a comparison
+    with pytest.raises(TypeError, match=rf"^'{kind}' object cannot be interpreted as an integer$"):
+        call()
+
+
 class TestIdentities:
     @pytest.mark.parametrize("ident", triangles.IDENTITY_IDS)
     def test_passes_to_30(self, ident):
@@ -387,7 +415,7 @@ class TestIdentities:
     def test_zero_block_defect_nonnegative(self):
         # bells() against the n W(n-1) that verify reads from its own rows
         closed_form = dict(verify_identity("ZERO_BLOCK_DEFECT", 30).values)
-        for n in range(1, 31):
+        for n in range(31):
             defect = bell_b(n) - bell_d(n)
             assert defect >= 0
             assert defect == closed_form[n]
@@ -453,6 +481,11 @@ class TestIdentityFailures:
         assert not report.status
         assert report.first_failure == (2, None, 25, 24)
         assert report.values == ((1, 2), (2, 6), (3, 24))
+
+    def test_zero_block_defect_from_n0(self, wrong_cell):
+        # B(0) read as 2, D(0) still 1: B(0) - D(0) = 1, where 0 W(-1) = 0
+        wrong_cell(Family.TYPE_B, 0, 0, 2)
+        assert verify_identity("ZERO_BLOCK_DEFECT", 3).first_failure == (0, None, 1, 0)
 
 
 def test_wrong_classical_cell(wrong_cell):
