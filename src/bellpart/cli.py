@@ -8,11 +8,15 @@ underflows; the traceback goes to stderr), 141 stdout closed by its
 reader (as a shell reports a tool ended by SIGPIPE; nothing goes to
 stderr).
 Results go to stdout, diagnostics to stderr.
-partitions, series and traceback are imported only where they are used;
-``table`` needs none of them, and no subcommand needs json: ``table`` and
-``enumerate`` build their JSON lines themselves.  ``table stirling*``
-prints the Decimal rows of ``triangles.rows``, which builds them exactly in
-a context of its own.
+partitions, series, decimal, fractions and traceback are imported only
+where they are used: decimal by ``table stirling*``, which prints the
+Decimal rows of ``triangles.rows`` (built exactly in a context of its own),
+and by ``dobinski``, whose fractions imports it; fractions by ``dobinski``
+alone.  No subcommand needs json: ``table`` and ``enumerate`` build their
+JSON lines themselves.  ``bellpart.dobinski`` is imported with this module,
+although only ``dobinski`` runs it: the benchmark's tracer
+(perfbench/traced_cli.py) swaps each entry of ``_DOBINSKI_FN`` for the
+wrapper it found by the identity of the function the entry holds.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from itertools import islice
 
 from bellpart import dobinski, triangles
@@ -48,6 +50,8 @@ def cmd_table(args) -> int:
     as_json = args.format == "json"
     sep = "," if as_json else "\t" if args.format == "tsv" else " "
     if is_triangle:
+        from decimal import Decimal
+
         # The rows are walked in exact Decimal, which prints in time linear in
         # the digits, where int -> str takes quadratic time; a cell that would
         # be rounded raises (exit 3).
@@ -119,7 +123,7 @@ def cmd_dobinski(args) -> int:
     print(f"lo {interval.lo}")
     print(f"hi {interval.hi}")
     ok = interval.contains(exact)
-    if args.width <= Fraction(1, 2):
+    if 2 * args.width <= 1:
         rounded = round(interval.midpoint)
         ok = ok and rounded == exact
         print(f"rounded {rounded}")

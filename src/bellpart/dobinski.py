@@ -14,9 +14,13 @@ target, so the work is polynomial in n.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 from itertools import islice
+from operator import index
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # fractions is imported where a Fraction is built
+    from fractions import Fraction
 
 
 class Interval(namedtuple("Interval", "lo hi")):
@@ -60,6 +64,8 @@ def exp_neg_bounds(v: Fraction, terms: int) -> Interval:
     Consecutive partial sums of sum_j (-v)^j / j! bracket the limit, so the
     last two bracket e^(-v).  The bracket's width is v^terms / terms!.
     """
+    from fractions import Fraction
+
     v = Fraction(v)
     if not 0 < v <= 1:
         raise ValueError("v must satisfy 0 < v <= 1")
@@ -89,6 +95,8 @@ def _num_d(n: int, r: int) -> int:
 def _width(width_target) -> Fraction:
     """``width_target`` as a Fraction, the one check of a width: a width
     that is not > 0 raises ValueError."""
+    from fractions import Fraction
+
     width = Fraction(width_target)
     if width <= 0:
         raise ValueError("width_target must be > 0")
@@ -103,7 +111,9 @@ def _enclose(num, tail_num, q: int, n: int, width_target) -> Interval:
     T = 2 * tail_num(n, R+1) / (q^(R+1) (R+1)!).  ``tail_num`` must
     dominate ``num`` termwise.
     """
-    if n < 0:
+    from fractions import Fraction
+
+    if index(n) < 0:
         raise ValueError("n must be >= 0")
     width = _width(width_target)
     # R is the first r >= max(n, 7) with T <= width / 2

@@ -23,9 +23,10 @@ Everything is exact big-integer arithmetic.  For n >= 0, a k outside 0..n
 reads 0, so identity sums can run over uniform index ranges.
 ``rows(family, Decimal(1))`` walks the same row steps in ``decimal.Decimal``,
 for ``table``: a Decimal prints in time linear in its digits, where int -> str
-takes quadratic time.  Each such row is built in ``_EXACT``, a context of the
-largest precision that traps ``Inexact`` and ``Rounded``, so a cell that would
-be rounded raises instead; the caller's context is never changed.
+takes quadratic time.  Each such row is built in ``_exact_context()``, a
+context of the largest precision that traps ``Inexact`` and ``Rounded``, so a
+cell that would be rounded raises instead; the caller's context is never
+changed.  ``decimal`` is imported by that walk alone, not with the module.
 Random access reads row n through ``_row(family, n)``, which walks on from the
 last two rows it read; ``rows(family)`` walks rows 0, 1, 2, ... in order.
 Rows, cells and Bell numbers exist for n >= 0 only: a negative n raises
@@ -39,7 +40,6 @@ that is not an integer, such as ``2.5`` or ``"3"``, raises TypeError.
 
 from __future__ import annotations
 
-import decimal
 from collections import deque
 from enum import Enum
 from functools import cached_property
@@ -157,10 +157,11 @@ def _row(family: Family, n: int) -> list[int]:
 
 
 def _cell(family: Family, n: int, k: int) -> int:
-    """Cell (n, k) of the family's triangle: 0 for k outside 0..n, and for a
-    negative n the ValueError of ``_size``, whatever k is."""
+    """Cell (n, k) of the family's triangle: 0 for an integer k outside 0..n,
+    for a negative n the ValueError of ``_size``, whatever k is, and for a k
+    that is not an integer, such as ``5.0``, TypeError."""
     _size(n)
-    if not 0 <= k <= n:
+    if not 0 <= index(k) <= n:
         return 0
     return _row(family, n)[k]
 
@@ -177,22 +178,6 @@ def stirling_d(n: int, k: int) -> int:
     return _cell(Family.TYPE_D, n, k)
 
 
-# The context each Decimal row is built in: no precision or exponent limit in
-# reach, and a cell that would be rounded raises instead.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[
-        decimal.InvalidOperation,
-        decimal.DivisionByZero,
-        decimal.Overflow,
-        decimal.Inexact,
-        decimal.Rounded,
-    ],
-)
-
-
 def rows(family: Family, one=1) -> Iterator[list]:
     """Rows 0, 1, 2, ... of the family's triangle, holding only what the next
     row needs: the row before, or for type D B row n and U row n - 1.  The
@@ -200,24 +185,49 @@ def rows(family: Family, one=1) -> Iterator[list]:
     only after drawing the next.
 
     The cells are multiples of ``one``: ints, or with ``one = Decimal(1)``
-    Decimals, each row built in ``_EXACT``, so a cell that would be rounded
-    raises whatever the caller's context.  Any other ``one`` raises
+    Decimals, each row built in ``_exact_context()``, so a cell that would be
+    rounded raises whatever the caller's context.  Any other ``one`` raises
     ValueError at the call: a float walk would round, a Fraction walk leave
-    the ints, and neither would say so."""
-    if type(one) not in (int, decimal.Decimal) or str(one) != "1":
+    the ints, and neither would say so.  ``decimal`` is imported only for a
+    ``one`` that is not an int."""
+    if type(one) is not int:
+        import decimal
+    if (type(one) is not int and type(one) is not decimal.Decimal) or str(one) != "1":
         raise ValueError(f"one must be 1 or Decimal(1), not {one!r}")
     if family is Family.TYPE_D:
         walk = _d_rows(_weighted_walk(Family.TYPE_B, [one], one), one)
     else:
         walk = _weighted_walk(family, [one], one)
-    return _exact_rows(walk) if isinstance(one, decimal.Decimal) else walk
+    return walk if type(one) is int else _exact_rows(walk)
+
+
+def _exact_context():
+    """The context each Decimal row is built in: no precision or exponent
+    limit in reach, and a cell that would be rounded raises instead."""
+    import decimal
+
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[
+            decimal.InvalidOperation,
+            decimal.DivisionByZero,
+            decimal.Overflow,
+            decimal.Inexact,
+            decimal.Rounded,
+        ],
+    )
 
 
 def _exact_rows(walk: Iterator[list]) -> Iterator[list]:
-    """The rows of ``walk``, each built in the context ``_EXACT``; the
+    """The rows of ``walk``, each built in ``_exact_context()``; the
     caller's context is back in place while it holds a row."""
+    import decimal
+
+    exact = _exact_context()
     while True:
-        with decimal.localcontext(_EXACT):
+        with decimal.localcontext(exact):
             row = next(walk)
         yield row
 

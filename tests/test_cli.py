@@ -79,9 +79,9 @@ def test_decimal_table_bytes_equal_int_rows(capsys, name, family, fmt):
 
 def test_table_cell_past_precision_exits_3(capsys, monkeypatch):
     # S_B(40, k) has up to 44 digits; a 20-digit context must raise, not round
-    small = triangles._EXACT.copy()
+    small = triangles._exact_context()
     small.prec = 20
-    monkeypatch.setattr(triangles, "_EXACT", small)
+    monkeypatch.setattr(triangles, "_exact_context", lambda: small)
     assert main(["table", "stirling-b", "--rows", "40"]) == 3
     captured = capsys.readouterr()
     assert "decimal.Inexact" in captured.err or "decimal.Rounded" in captured.err

@@ -163,3 +163,13 @@ class TestDTerms:
 def test_negative_n_raises_value_error(enclose, n):
     with pytest.raises(ValueError, match="n must be >= 0"):
         enclose(n, HALF)
+
+
+@pytest.mark.parametrize(
+    "enclose, n", [(dobinski_a, 3.0), (dobinski_b, 2.5), (dobinski_d, "3"), (dobinski_a, -1.0)]
+)
+def test_non_integer_n_raises_type_error(enclose, n):
+    # n is read through operator.index at the check, as triangles._size reads
+    # a size, so it fails there and not inside the Fraction arithmetic
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        enclose(n, HALF)

@@ -29,6 +29,7 @@ sys.exit(code)
 CALLS = {
     "table": ["table", "stirling-d", "--rows", "5"],
     "table-json": ["table", "stirling-d", "--rows", "5", "--format", "json"],
+    "table-bell": ["table", "bell-b", "--rows", "5"],
     "verify": ["verify", "all", "--max-n", "5"],
     "enumerate": ["enumerate", "b", "3"],
     "enumerate-json": ["enumerate", "d", "3", "--format", "json"],
@@ -38,7 +39,12 @@ CALLS = {
 }
 
 # the calls that load no partition walk
-NO_PARTITIONS = {"table", "table-json", "verify", "dobinski", "egf-check"}
+NO_PARTITIONS = {"table", "table-json", "table-bell", "verify", "dobinski", "egf-check"}
+
+# the calls that compute in Decimal (table stirling*) or in Fraction
+# (dobinski, whose fractions module imports decimal itself)
+LOADS_DECIMAL = {"table", "table-json", "dobinski"}
+LOADS_FRACTIONS = {"dobinski"}
 
 
 def _child(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -62,7 +68,8 @@ def bare_modules() -> set[str]:
 def test_subcommand_loads_only_what_it_runs(name, bare_modules):
     proc = _child(CHILD, *CALLS[name])
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.splitlines()[-1].split()) - bare_modules
+    modules = set(proc.stderr.splitlines()[-1].split())
+    loaded = modules - bare_modules
     assert "bellpart.cli" in loaded
     # table and enumerate build their JSON lines themselves (json cannot
     # encode the Decimal cells that table prints), so no call loads json
@@ -70,6 +77,11 @@ def test_subcommand_loads_only_what_it_runs(name, bare_modules):
     if name in NO_PARTITIONS:
         assert "bellpart.partitions" not in loaded
     assert ("bellpart.series" in loaded) == (name == "egf-check")
+    for module, callers in (("decimal", LOADS_DECIMAL), ("fractions", LOADS_FRACTIONS)):
+        if name in callers:
+            assert module in modules
+        else:
+            assert module not in loaded
 
 
 def test_internal_error_exits_3_in_fresh_interpreter():

@@ -346,6 +346,9 @@ def test_negative_size_raises():
         (lambda: bell_a(2.5), "float"),
         (lambda: stirling2(2.0, 1), "float"),
         (lambda: stirling2(2.0, 5), "float"),  # a k outside 0..n, checked after n
+        (lambda: stirling2(3, 5.0), "float"),  # a column, read through index too
+        (lambda: stirling(Family.TYPE_B, 3, 1.0), "float"),
+        (lambda: stirling_d(3, -1.0), "float"),
         (lambda: stirling_row(Family.TYPE_B, "3"), "str"),
         (lambda: egf_triangle(Family.TYPE_B, 2.5), "float"),
         (lambda: verify_identity("THM_4_7", 2.5), "float"),
@@ -355,6 +358,9 @@ def test_negative_size_raises():
         "bell_a",
         "stirling2",
         "stirling2_outside",
+        "stirling2_column_outside",
+        "stirling_b_column",
+        "stirling_d_column_negative",
         "stirling_row",
         "egf_triangle",
         "verify_identity",
