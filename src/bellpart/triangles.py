@@ -15,9 +15,10 @@ Number families, each selected by a ``Family``:
   term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
   It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
   (c, d) = (1, 0) classical and (2, 1) type B, as one in-place array of
-  additions (Aitken's, generalised to the weight c), and gives
-  D(n) = B(n) - n W(n-1), W the (2, 0) sequence.  No Stirling row is built
-  for a Bell number.
+  additions alone (Aitken's, on the terms c^(m-k) X(k) scaled to a common
+  m that grows by a fixed step, so the sum comes out shifted up by a known
+  amount), and gives D(n) = B(n) - n W(n-1), W the (2, 0) sequence.  No
+  Stirling row is built for a Bell number.
 
 Everything is exact big-integer arithmetic.  For n >= 0, a k outside 0..n
 reads 0, so identity sums can run over uniform index ranges.
@@ -236,20 +237,36 @@ def _exact_rows(walk: Iterator[list]) -> Iterator[list]:
 # W(m) = sum_k 2^(m-k) S(m,k) is the sequence of c = 2, d = 0
 _BELL_REC = {Family.CLASSICAL: (0, 0), Family.TYPE_B: (1, 1)}
 
+# rows by which _bell_walk's scale m grows each time row n reaches it: a larger
+# step lengthens every held cell by up to log2(c) bits a row, a smaller one
+# shifts the whole row more often; bell_b(1000) times alike from 32 to 512
+_BELL_RESCALE_ROWS = 64
+
 
 def _bell_walk(shift: int, d: int) -> Iterator[int]:
-    """X(0) = 1, X(1), ... from the array a(n,0) = X(n),
-    a(n,j) = a(n,j-1) + c a(n-1,j-1), c = 2^shift, whose last cell
-    a(n,n) = sum_k C(n,k) c^(n-k) X(k).  Row n overwrites row n - 1 in place."""
-    x, row = 1, []
-    while True:
+    """X(0) = 1, X(1), ... from Aitken's array of additions alone, run on the
+    scaled terms Z(k) = c^(m-k) X(k), c = 2^shift: a(n,0) = Z(n),
+    a(n,j) = a(n,j-1) + a(n-1,j-1), whose last cell
+    a(n,n) = c^(m-n) sum_k C(n,k) c^(n-k) X(k) is shifted down exactly.
+    Row n overwrites row n - 1 in place.  When n reaches m, m grows by
+    ``_BELL_RESCALE_ROWS`` and each held cell, linear in the Z(k), is shifted
+    up by shift * ``_BELL_RESCALE_ROWS`` bits in place, so no second row is
+    ever held."""
+    x, row, m = 1, [], 0
+    for n in count():
         yield x
-        acc = x
+        if n == m:
+            m += _BELL_RESCALE_ROWS
+            up = shift * _BELL_RESCALE_ROWS
+            for j, cell in enumerate(row):
+                row[j] = cell << up
+        down = shift * (m - n)
+        acc = x << down
         for j, prev in enumerate(row):
             row[j] = acc
-            acc += prev << shift
+            acc += prev
         row.append(acc)
-        x = d * x + acc
+        x = d * x + (acc >> down)
 
 
 def bells(family: Family) -> Iterator[int]:

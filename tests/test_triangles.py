@@ -107,6 +107,15 @@ def test_bells_equal_row_sums(family):
     assert list(islice(bells(family), 301)) == [sum(row) for row in islice(rows(family), 301)]
 
 
+@pytest.mark.parametrize("step", [1, 2, 3, 5])
+@pytest.mark.parametrize("family", Family)
+def test_bells_across_rescales(family, step, monkeypatch):
+    # a small step crosses the n = m boundary of the scaled walk often, and
+    # step 1 rescales the held row before every row
+    monkeypatch.setattr(triangles, "_BELL_RESCALE_ROWS", step)
+    assert list(islice(bells(family), 41)) == [sum(row) for row in islice(rows(family), 41)]
+
+
 def test_out_of_range_is_zero():
     for fn in (stirling2, stirling_b, stirling_d):
         assert fn(3, 5) == 0
