@@ -19,8 +19,6 @@ although only ``dobinski`` runs it: the benchmark's tracer
 wrapper it found by the identity of the function the entry holds.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

@@ -11,8 +11,6 @@ Taylor partial sums over q^J J!.  R and J follow directly from the width
 target, so the work is polynomial in n.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import partial
 from itertools import islice
@@ -26,22 +24,22 @@ if TYPE_CHECKING:  # fractions is imported where a Fraction is built
 class Interval(namedtuple("Interval", "lo hi")):
     __slots__ = ()
 
-    def __new__(cls, lo: Fraction, hi: Fraction):
+    def __new__(cls, lo: "Fraction", hi: "Fraction"):
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         return super().__new__(cls, lo, hi)
 
     @classmethod
-    def _make(cls, iterable) -> Interval:
+    def _make(cls, iterable) -> "Interval":
         # namedtuple's own _make, which _replace calls, skips __new__
         return cls(*iterable)
 
     @property
-    def width(self) -> Fraction:
+    def width(self) -> "Fraction":
         return self.hi - self.lo
 
     @property
-    def midpoint(self) -> Fraction:
+    def midpoint(self) -> "Fraction":
         return (self.lo + self.hi) / 2
 
     def contains(self, value) -> bool:
@@ -58,7 +56,7 @@ def _partial_sums(num, q: int):
         s, den = s * q * r + num(r), den * q * r
 
 
-def exp_neg_bounds(v: Fraction, terms: int) -> Interval:
+def exp_neg_bounds(v: "Fraction", terms: int) -> Interval:
     """Enclosure of e^(-v) for 0 < v <= 1 from the alternating Taylor series.
 
     Consecutive partial sums of sum_j (-v)^j / j! bracket the limit, so the
@@ -92,7 +90,7 @@ def _num_d(n: int, r: int) -> int:
     return num
 
 
-def _width(width_target) -> Fraction:
+def _width(width_target) -> "Fraction":
     """``width_target`` as a Fraction, the one check of a width: a width
     that is not > 0 raises ValueError."""
     from fractions import Fraction

@@ -24,8 +24,6 @@ Every size n is read through ``triangles._size`` and every family through
 raises ValueError here as in ``triangles`` and ``series``.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
 from typing import Iterator, NamedTuple, Sequence

@@ -24,8 +24,6 @@ for f = e^x - 1 it is the classical "block holding element m" recurrence
 S(m,k) = sum_j C(m-1, j-1) S(m-j, k-1).
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from bellpart.triangles import Family, _lookup, _size

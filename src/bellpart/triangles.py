@@ -39,8 +39,6 @@ negative one raises ValueError naming the argument and its value, and one
 that is not an integer, such as ``2.5`` or ``"3"``, raises TypeError.
 """
 
-from __future__ import annotations
-
 from collections import deque
 from enum import Enum
 from functools import cached_property

@@ -12,8 +12,6 @@ Run from the repository root, after a deliberate change of output:
 and list every key whose entry changed in CHANGES.md.
 """
 
-from __future__ import annotations
-
 import hashlib
 import io
 import json

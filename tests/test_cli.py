@@ -467,6 +467,15 @@ def test_egf_check_catches_cells_with_right_row_sum(capsys, monkeypatch):
     ]
 
 
+def test_d_underflow_exits_3(capsys, wrong_cell):
+    # U(4,1) read as 10^6, not 8, in the Decimal walk that table prints
+    wrong_cell("U", 4, 1, 10**6)
+    assert main(["table", "stirling-d", "--rows", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "AssertionError: stirling_d underflow at (n=5, k=1)"
+    assert captured.out == _int_table(Family.TYPE_D, 4, "tsv")
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(family, order):
         raise RuntimeError("egf triangle: broken")

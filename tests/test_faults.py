@@ -18,6 +18,11 @@ blind to them.
 
 The seam faults are one wrong value at a seam no row walk reads: the Bell
 recurrence, an EGF prefactor and the Dobinski numerators.
+
+The ties of ``tests/test_properties.py`` that no CLI check runs yet are
+pinned last, each against the fault it is there to see: a wrong Dobinski
+numerator, the B cell fault that ``D_FROM_B`` and ``ZERO_BLOCK_DEFECT``
+cannot see, and a wrong Bell number far past every CLI check above.
 """
 
 import pytest
@@ -25,6 +30,8 @@ import pytest
 from bellpart import dobinski, partitions, series, triangles
 from bellpart.cli import main
 from bellpart.triangles import IDENTITY_IDS, Family, verify_identity
+
+from test_properties import d_row_rec_failure, explicit_formula_failure, touchard_failure
 
 CHECKS = {
     "verify": ["verify", "all", "--max-n", "6"],
@@ -120,15 +127,16 @@ def test_count_fault_detection(capsys, monkeypatch, fault):
     capsys.readouterr()
 
 
-def _wrong_bell(monkeypatch):
-    # B(5) read as 649, not 648; D(5) = B(5) - 5 W(4) moves with it
+def _wrong_bell(monkeypatch, at=5):
+    # B(at) read one too high, B(5) as 649, not 648; D(at) = B(at) - at W(at-1)
+    # moves with it
     bell_walk = triangles._bell_walk
 
     def wrong_walk(shift, d):
         walk = bell_walk(shift, d)
         if (shift, d) != triangles._BELL_REC[Family.TYPE_B]:
             return walk
-        return (x + (n == 5) for n, x in enumerate(walk))
+        return (x + (n == at) for n, x in enumerate(walk))
 
     monkeypatch.setattr(triangles, "_bell_walk", wrong_walk)
 
@@ -212,3 +220,21 @@ def test_short_row_fails(capsys, monkeypatch, ident):
     assert main(["verify", ident, "--max-n", "4"]) == 1
     _, _, lhs, rhs = failure
     assert capsys.readouterr().out == f"{ident}: FAIL at n=0 k=0: lhs={lhs} rhs={rhs}\n"
+
+
+def test_explicit_formula_sees_wrong_numerator(monkeypatch):
+    _wrong_numerator("_num_b")(monkeypatch)
+    assert explicit_formula_failure(40) == (Family.TYPE_B, 5, 0)
+
+
+def test_d_row_rec_sees_b_fault(wrong_cell):
+    # the "b" row fault, which moves both sides of D_FROM_B and
+    # ZERO_BLOCK_DEFECT alike: D row 5 is built from the wrong B row 5
+    wrong_cell(Family.TYPE_B, 5, 2, 331)
+    assert d_row_rec_failure(400) == 4
+
+
+def test_touchard_sees_wrong_bell(monkeypatch):
+    # B(500) + 1 breaks B(500) = B(497) + B(498) mod 3 first
+    _wrong_bell(monkeypatch, at=500)
+    assert touchard_failure(1000) == ("b", 3, 497)

@@ -279,6 +279,11 @@ class TestCanonicalize:
         with pytest.raises(InvalidCoverError):
             canonicalize(2, [[0, 1, -1]])
 
+    def test_element_outside_range(self):
+        with pytest.raises(InvalidCoverError) as exc:
+            canonicalize(2, [[0], [1], [-1], [2, 3], [-2, -3]])
+        assert str(exc.value) == "element 3 outside <2>"
+
     def test_duplicate_element(self):
         with pytest.raises(InvalidCoverError):
             canonicalize(1, [[0, 1, 1, -1]])

@@ -514,3 +514,11 @@ def test_wrong_classical_cell(wrong_cell):
     # S_B(5,2) - 5 2^2 S(4,2) = 330 - 160
     assert verify_identity("ZERO_BLOCK_DEFECT", 6).first_failure == (5, None, 245, 5 * 53)
     assert verify_identity("D_FROM_B", 6).first_failure == (5, 2, 190, 170)
+
+
+def test_d_underflow_raises(wrong_cell):
+    # U(4,1) read as 10^6, not 8: S_B(5,1) - 5 U(4,1) < 0, and a type-D row
+    # that underflows must raise, not hand out a negative count
+    wrong_cell("U", 4, 1, 10**6)
+    with pytest.raises(AssertionError, match=r"^stirling_d underflow at \(n=5, k=1\)$"):
+        list(islice(rows(Family.TYPE_D), 6))
