@@ -67,7 +67,7 @@ def exp_neg_bounds(v: "Fraction", terms: int) -> Interval:
     v = Fraction(v)
     if not 0 < v <= 1:
         raise ValueError("v must satisfy 0 < v <= 1")
-    if terms < 2:
+    if index(terms) < 2:
         raise ValueError("terms must be >= 2")
     sums = _partial_sums(lambda j: (-v.numerator) ** j, v.denominator)
     (_, s0, d0), (_, s1, d1) = islice(sums, terms - 1, terms + 1)

@@ -256,7 +256,7 @@ def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartit
 def count_by_pairs(n: int, family: Family) -> list[int]:
     """counts[k] = number of enumerated partitions with exactly k pairs
     (blocks, for the classical family); length n + 1."""
-    counts = [0] * (n + 1)
+    counts = [0] * (_size(n) + 1)
     if family is Family.CLASSICAL:
         for p in enum_classical(n):
             counts[len(p.blocks)] += 1
@@ -272,18 +272,16 @@ def count_single_positive_zero_block(n: int) -> int:
     return sum(1 for p in enum_signed(_size(n), Family.TYPE_B) if not is_type_d(p.zero_support))
 
 
-def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:
-    """Every oracle count of n from one walk over the B(n) signed partitions.
+def count_one_pass(n: int) -> dict[Family, list[int]]:
+    """Every family's row of n from one walk over the B(n) signed partitions:
+    ``counts[family]`` equals ``count_by_pairs(n, family)``.
 
-    Returns ``(counts, defect)``: ``counts[family]`` equals
-    ``count_by_pairs(n, family)`` for each family, and ``defect`` the number
-    of type-B partitions that are not type D, B(n) - D(n) (0 at n = 0).
     The walk is that of ``enum_signed(n, TYPE_B)``, but no sign vector is
     iterated and no partition object is built.  The classical partitions of
-    [n] are the unsigned partitions of the rest of the empty zero support.
+    [n] are the unsigned partitions of the rest of the empty zero support,
+    and the type-D ones those whose zero support ``is_type_d``.
     """
-    classical, type_b, type_d = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    defect = 0
+    classical, type_b, type_d = ([0] * (_size(n) + 1) for _ in Family)
     for zero_support, blocks in _walk(n, Family.TYPE_B):
         k = len(blocks)
         if not zero_support:
@@ -293,7 +291,4 @@ def count_one_pass(n: int) -> tuple[dict[Family, list[int]], int]:
         type_b[k] += visited
         if is_type_d(zero_support):
             type_d[k] += visited
-        else:
-            defect += visited
-    counts = {Family.CLASSICAL: classical, Family.TYPE_B: type_b, Family.TYPE_D: type_d}
-    return counts, defect
+    return {Family.CLASSICAL: classical, Family.TYPE_B: type_b, Family.TYPE_D: type_d}

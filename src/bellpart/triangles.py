@@ -460,7 +460,7 @@ def verify_identity(
         raise ValueError(f"unknown identity: {identity_id}")
     if tables is None:
         tables = _Tables(n_max)
-    elif not 0 <= n_max <= tables.n_max:
+    elif not _size(n_max, "n_max") <= tables.n_max:
         raise ValueError(f"n_max must be in 0..{tables.n_max}, got {n_max}")
     identity = _IDENTITIES[identity_id]
 

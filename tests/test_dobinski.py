@@ -70,6 +70,11 @@ class TestExpNegBounds:
             exp_neg_bounds(F(3, 2), 5)
         with pytest.raises(ValueError):
             exp_neg_bounds(F(1), 1)
+        # the term count is read through operator.index, as a size is, so a
+        # float fails at the check and not inside islice
+        for terms in (2.5, 3.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                exp_neg_bounds(F(1), terms)
 
 
 class TestEnclosures:

@@ -90,23 +90,33 @@ def test_fault_detection(capsys, wrong_cell, fault):
     assert _failing_checks(capsys) == checks
 
 
-def _one_more_d_count(counts, defect):
-    counts[Family.TYPE_D][2] += 1
-    return counts, defect
+def _one_more(family):
+    """The k = 2 count of ``family`` at n = 5 read one too high."""
+
+    def change(counts):
+        counts[family][2] += 1
+        return counts
+
+    return change
 
 
-def _one_more_defect(counts, defect):
-    return counts, defect + 1
-
-
+# one fault per row that count_one_pass returns
 COUNT_FAULTS = {
+    # S(5,2) counted as 16, not 15
+    "count-classical": (
+        _one_more(Family.CLASSICAL),
+        "n=5 family=classical: MISMATCH [0, 1, 16, 25, 10, 1] != [0, 1, 15, 25, 10, 1]",
+    ),
+    # S_B(5,2) counted as 331, not 330
+    "count-b": (
+        _one_more(Family.TYPE_B),
+        "n=5 family=b: MISMATCH [1, 121, 331, 170, 25, 1] != [1, 121, 330, 170, 25, 1]",
+    ),
     # S_D(5,2) counted as 191, not 190
     "count": (
-        _one_more_d_count,
+        _one_more(Family.TYPE_D),
         "n=5 family=d: MISMATCH [1, 81, 191, 110, 20, 1] != [1, 81, 190, 110, 20, 1]",
     ),
-    # B(5) - D(5) counted as 246, not 245
-    "defect": (_one_more_defect, "n=5 defect: MISMATCH 246 != 245"),
 }
 
 
@@ -116,7 +126,7 @@ def test_count_fault_detection(capsys, monkeypatch, fault):
     count_one_pass = partitions.count_one_pass
 
     def wrong_count(n):
-        return change(*count_one_pass(n)) if n == 5 else count_one_pass(n)
+        return change(count_one_pass(n)) if n == 5 else count_one_pass(n)
 
     monkeypatch.setattr(partitions, "count_one_pass", wrong_count)
     assert main(["oracle-check", "6"]) == 1

@@ -331,6 +331,7 @@ def test_negative_size_raises():
         ("n", lambda: bell_b(-1)),
         ("n", lambda: bell_d(-1)),
         ("n_max", lambda: verify_identity("THM_4_7", -1)),
+        ("n_max", lambda: verify_identity("THM_4_7", -1, triangles._Tables(5))),
         ("order", lambda: egf_triangle(Family.TYPE_B, -1)),
         ("order", lambda: egf_coefficients(Family.CLASSICAL, -1)),
         ("k", lambda: egf_stirling_d_column(-1, 3)),
@@ -362,6 +363,10 @@ def test_negative_size_raises():
         (lambda: egf_triangle(Family.TYPE_B, 2.5), "float"),
         (lambda: verify_identity("THM_4_7", 2.5), "float"),
         (lambda: next(line_groups(2.5, Family.TYPE_B, False, None)), "float"),
+        (lambda: count_one_pass(2.5), "float"),
+        (lambda: count_one_pass("3"), "str"),
+        (lambda: count_by_pairs(2.5, Family.TYPE_B), "float"),
+        (lambda: verify_identity("THM_4_7", "3", triangles._Tables(5)), "str"),
     ],
     ids=[
         "bell_a",
@@ -374,6 +379,10 @@ def test_negative_size_raises():
         "egf_triangle",
         "verify_identity",
         "line_groups",
+        "count_one_pass",
+        "count_one_pass_str",
+        "count_by_pairs",
+        "verify_identity_tables",
     ],
 )
 def test_non_integer_size_raises(call, kind):
