@@ -26,6 +26,7 @@ raises ValueError here as in ``triangles`` and ``series``.
 
 import heapq
 import itertools
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from bellpart.triangles import Family, _lookup, _size
@@ -216,10 +217,11 @@ def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartit
     block is empty, or an element is missing, repeated or outside <n>),
     PairingError if the zero-block is not negation-closed or some block's
     negation is missing; a negative n raises ValueError before any block is
-    read.  Idempotent on canonical input.
+    read, and an element that is not an integer, such as ``1.0`` or ``"1"``,
+    TypeError.  Idempotent on canonical input.
     """
     _size(n)
-    blocks = [tuple(b) for b in raw_blocks]
+    blocks = [tuple(map(index, b)) for b in raw_blocks]
     seen: set[int] = set()
     for b in blocks:
         if not b:

@@ -1,6 +1,10 @@
-"""The package's lazy exports and its record classes."""
+"""The package binds only ``__version__`` and ``KERNEL_IMPL``; each public
+name is reached from the submodule that defines it, as the README lists it.
+Also the record classes."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,9 +17,53 @@ from bellpart.dobinski import Interval
 from bellpart.partitions import ClassicalSetPartition, SignedSetPartition
 from bellpart.triangles import IdentityReport
 
-ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 SUBMODULES = ("cli", "dobinski", "partitions", "series", "triangles")
+
+# The public names, by the submodule that defines each, as the README lists them.
+DEFINED_IN = {
+    "triangles": (
+        "Family",
+        "IdentityReport",
+        "bell",
+        "bell_a",
+        "bell_b",
+        "bell_d",
+        "bells",
+        "rows",
+        "stirling",
+        "stirling2",
+        "stirling_b",
+        "stirling_d",
+        "stirling_row",
+        "verify_identity",
+    ),
+    "partitions": (
+        "ClassicalSetPartition",
+        "InvalidCoverError",
+        "PairingError",
+        "SignedSetPartition",
+        "canonicalize",
+        "classify",
+        "count_by_pairs",
+        "count_one_pass",
+        "count_single_positive_zero_block",
+        "enum_classical",
+        "enum_signed",
+        "line_groups",
+    ),
+    "series": ("egf_coefficients", "egf_stirling_d_column", "egf_triangle"),
+    "dobinski": ("Interval", "dobinski_a", "dobinski_b", "dobinski_d", "exp_neg_bounds"),
+}
+MODULE_OF = {name: module for module, names in DEFINED_IN.items() for name in names}
+
+# The README's Library section: each module's bullet text, by module.
+_LIBRARY = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+README_LISTS = dict(
+    re.findall(r"^- `bellpart\.(\w+)`:(.*?)(?=^- |\Z)", _LIBRARY.split("\n## ", 1)[0], re.M | re.S)
+)
 
 
 def _run_fresh(code: str) -> None:
@@ -25,46 +73,26 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_star_import_binds_all():
-    _run_fresh(
-        "import bellpart\n"
-        "from bellpart import *\n"
-        "missing = [n for n in bellpart.__all__ if n not in globals()]\n"
-        "assert not missing, missing\n"
-    )
-
-
 def test_bare_import_loads_no_submodule_and_resolves_them():
     _run_fresh(
         "import sys, bellpart\n"
-        f"subs = ['bellpart.' + m for m in {SUBMODULES!r}]\n"
-        "assert not [m for m in subs if m in sys.modules]\n"
-        "triangles = bellpart.triangles\n"
-        "assert triangles is sys.modules['bellpart.triangles']\n"
-        "assert triangles.stirling_row(triangles.Family.TYPE_D, 3) == [1, 7, 6, 1]\n"
-        "assert 'bellpart.partitions' not in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('bellpart.')]\n"
+        "public = [n for n in vars(bellpart) if not n.startswith('_')]\n"
+        "assert public == ['KERNEL_IMPL'], public\n"
+        "assert bellpart.KERNEL_IMPL == 'python'\n"
+        f"from bellpart import {', '.join(SUBMODULES)}\n"
+        f"for m in {SUBMODULES!r}:\n"
+        "    assert globals()[m] is sys.modules['bellpart.' + m] is getattr(bellpart, m), m\n"
     )
 
 
-@pytest.mark.parametrize("name", [n for n in bellpart.__all__ if n != "KERNEL_IMPL"])
+@pytest.mark.parametrize("name", sorted(MODULE_OF))
 def test_export_is_the_submodule_object(name):
-    value = getattr(bellpart, name)
-    module = sys.modules[value.__module__]
-    assert module.__name__ in {f"bellpart.{m}" for m in SUBMODULES}
-    assert getattr(module, name) is value
-    assert vars(bellpart)[name] is value
-
-
-def test_exports_and_submodules():
-    assert bellpart.stirling_row is bellpart.triangles.stirling_row
-    assert bellpart.Interval is bellpart.dobinski.Interval
-    assert bellpart.KERNEL_IMPL == "python"
-    for name in SUBMODULES:
-        assert getattr(bellpart, name) is sys.modules[f"bellpart.{name}"]
-
-
-def test_dir_lists_exports_and_submodules():
-    assert set(bellpart.__all__) | set(SUBMODULES) <= set(dir(bellpart))
+    module = MODULE_OF[name]
+    value = getattr(importlib.import_module(f"bellpart.{module}"), name)
+    assert value.__module__ == f"bellpart.{module}"
+    assert not hasattr(bellpart, name)
+    assert f"`{name}`" in README_LISTS[module]
 
 
 def test_unknown_name_raises():

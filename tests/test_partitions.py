@@ -322,6 +322,16 @@ class TestCanonicalize:
         with pytest.raises(InvalidCoverError, match="empty"):
             canonicalize(1, [[0], [1], [-1], []])
 
+    @pytest.mark.parametrize("element", [1.0, "1"], ids=["float", "str"])
+    def test_non_integer_element_raises(self, element):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            canonicalize(1, [[0], [element], [-1]])
+
+    def test_bool_element_reads_as_int(self):
+        p = canonicalize(1, [[0], [True], [-1]])
+        assert p.pairs == ((1,),) and type(p.pairs[0][0]) is int
+        assert p.render_text() == "0 | 1/-1"
+
 
 class TestCounts:
     @pytest.mark.parametrize("family", ["b", "d", None])
