@@ -26,18 +26,9 @@ raises ValueError here as in ``triangles`` and ``series``.
 
 import heapq
 import itertools
-from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from bellpart.triangles import Family, _lookup, _size
-
-
-class InvalidCoverError(ValueError):
-    """Blocks do not partition <n> (missing or duplicated elements)."""
-
-
-class PairingError(ValueError):
-    """Zero-block not negation-closed, or a block's negation is absent."""
 
 
 class ClassicalSetPartition(NamedTuple):
@@ -208,51 +199,6 @@ def line_groups(n: int, family: Family, as_json: bool, pairs: int | None) -> Ite
 def classify(p: SignedSetPartition) -> Family:
     """TYPE_D iff the zero-block does not have exactly one positive element."""
     return Family.TYPE_D if is_type_d(p.zero_support) else Family.TYPE_B
-
-
-def canonicalize(n: int, raw_blocks: Sequence[Sequence[int]]) -> SignedSetPartition:
-    """Normalize arbitrary block input to the canonical form.
-
-    Raises InvalidCoverError if the blocks are not a partition of <n> (a
-    block is empty, or an element is missing, repeated or outside <n>),
-    PairingError if the zero-block is not negation-closed or some block's
-    negation is missing; a negative n raises ValueError before any block is
-    read, and an element that is not an integer, such as ``1.0`` or ``"1"``,
-    TypeError.  Idempotent on canonical input.
-    """
-    _size(n)
-    blocks = [tuple(map(index, b)) for b in raw_blocks]
-    seen: set[int] = set()
-    for b in blocks:
-        if not b:
-            raise InvalidCoverError("a block is empty")
-        for x in b:
-            if x < -n or x > n:
-                raise InvalidCoverError(f"element {x} outside <{n}>")
-            if x in seen:
-                raise InvalidCoverError(f"element {x} appears more than once")
-            seen.add(x)
-    if seen != set(range(-n, n + 1)):
-        missing = sorted(set(range(-n, n + 1)) - seen)
-        raise InvalidCoverError(f"missing elements: {missing}")
-
-    zero = set(next(b for b in blocks if 0 in b))
-    if {-x for x in zero} != zero:
-        raise PairingError("zero-block is not closed under negation")
-    zero_support = tuple(sorted(x for x in zero if x > 0))
-
-    others = [frozenset(b) for b in blocks if 0 not in b]
-    for b in others:
-        if any(-x in b for x in b):
-            raise PairingError(f"block {sorted(b)} contains both i and -i")
-    present = set(others)
-    for b in others:
-        if frozenset(-x for x in b) not in present:
-            raise PairingError(f"negation of block {sorted(b)} is missing")
-    # one block of each pair has a positive minimum-|x| element; the
-    # representatives' first elements differ, so they sort by it
-    reps = sorted(tuple(sorted(b, key=abs)) for b in others if min(b, key=abs) > 0)
-    return SignedSetPartition(n, zero_support, tuple(reps))
 
 
 def count_by_pairs(n: int, family: Family) -> list[int]:

@@ -11,6 +11,7 @@ from bellpart import partitions, triangles
 from bellpart.cli import main
 from bellpart.triangles import Family, bell_a, bell_b, bell_d, stirling2, stirling_row
 
+from test_partitions import GAMMA, RHO, TAU
 from test_triangles import (
     BELL_A,
     BELL_B,
@@ -148,18 +149,23 @@ def test_criterion_7_scale_to_300():
 
 
 def test_criterion_8_example_classification():
-    rho = partitions.canonicalize(
-        5, [[0, 2, -2, 3, -3, 5, -5], [1], [-1], [4], [-4]]
-    )
-    tau = partitions.canonicalize(
-        5, [[0], [-1, 2], [1, -2], [3, 5], [-3, -5], [4], [-4]]
-    )
-    gamma = partitions.canonicalize(
-        5, [[0, 5, -5], [1, 3, -4], [-1, -3, 4], [2], [-2]]
-    )
+    # the paper's worked examples as `enumerate` prints them: rho and tau are
+    # of type D, gamma of type B only
+    rho = "0,±2,±3,±5 | 1/-1 | 4/-4"
+    tau = "0 | 1,-2/-1,2 | 3,5/-3,-5 | 4/-4"
+    gamma = "0,±5 | 1,3,-4/-1,-3,4 | 2/-2"
+    code_d, out_d = run_cli("enumerate", "d", "5")
+    code_b, out_b = run_cli("enumerate", "b", "5")
+    type_d, type_b = set(out_d.splitlines()), set(out_b.splitlines())
+    examples = (RHO, TAU, GAMMA)
     ok = (
-        partitions.classify(rho) is Family.TYPE_D
-        and partitions.classify(tau) is Family.TYPE_D
-        and partitions.classify(gamma) is Family.TYPE_B
+        code_d == code_b == 0
+        and rho in type_d
+        and tau in type_d
+        and gamma in type_b
+        and gamma not in type_d
+        and [p.render_text() for p in examples] == [rho, tau, gamma]
+        and [partitions.classify(p) for p in examples]
+        == [Family.TYPE_D, Family.TYPE_D, Family.TYPE_B]
     )
     report("8 example-classification", ok)

@@ -42,10 +42,7 @@ DEFINED_IN = {
     ),
     "partitions": (
         "ClassicalSetPartition",
-        "InvalidCoverError",
-        "PairingError",
         "SignedSetPartition",
-        "canonicalize",
         "classify",
         "count_by_pairs",
         "count_one_pass",

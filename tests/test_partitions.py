@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from bellpart.partitions import (
     ClassicalSetPartition,
-    InvalidCoverError,
-    PairingError,
     SignedSetPartition,
     _rgs_blocks,
     _walk,
-    canonicalize,
     classify,
     count_by_pairs,
     count_one_pass,
@@ -34,6 +31,12 @@ from bellpart.triangles import (
     stirling_b,
     stirling_d,
 )
+
+# The paper's worked examples in canonical form: rho and tau are of type D,
+# gamma, whose zero block has one positive element, of type B only
+RHO = SignedSetPartition(5, (2, 3, 5), ((1,), (4,)))
+TAU = SignedSetPartition(5, (), ((1, -2), (3, 5), (4,)))
+GAMMA = SignedSetPartition(5, (5,), ((1, 3, -4), (2,)))
 
 
 def _rgs_reference(elements):
@@ -168,10 +171,11 @@ class TestSigned:
             assert sum(1 for _ in enum_signed(n, Family.TYPE_D)) == bell_d(n)
 
     def test_unique_and_canonical(self):
-        parts = list(enum_signed(4, Family.TYPE_B))
-        assert len(set(parts)) == len(parts)
-        for p in parts:
-            assert canonicalize(4, _to_blocks(p)) == p
+        for n in range(7):
+            parts = list(enum_signed(n, Family.TYPE_B))
+            assert len(set(parts)) == len(parts)
+            for p in parts:
+                assert _is_canonical(p), p
 
     def test_d_subset_of_b(self):
         b_parts = set(enum_signed(4, Family.TYPE_B))
@@ -202,14 +206,18 @@ def _reference_lines(n, family, as_json):
     return [(size, line) for _, size, line in reference]
 
 
-def _to_blocks(p: SignedSetPartition) -> list:
-    """Expand the canonical form back to explicit blocks of <n>."""
-    zero = [0] + list(p.zero_support) + [-i for i in p.zero_support]
-    blocks = [zero]
-    for rep in p.pairs:
-        blocks.append(list(rep))
-        blocks.append([-x for x in rep])
-    return blocks
+def _is_canonical(p: SignedSetPartition) -> bool:
+    """Each pair is sorted by |x| with its first element positive, pairs are
+    ordered by that element, the zero support is sorted, and the zero block
+    with the pairs and their negations covers <n> exactly once."""
+    covered = sorted([*p.zero_support, *(abs(x) for rep in p.pairs for x in rep)])
+    firsts = [rep[0] for rep in p.pairs]
+    return (
+        covered == list(range(1, p.n + 1))
+        and list(p.zero_support) == sorted(p.zero_support)
+        and all(rep[0] > 0 and list(rep) == sorted(rep, key=abs) for rep in p.pairs)
+        and firsts == sorted(firsts)
+    )
 
 
 class TestSignCountLaw:
@@ -233,104 +241,21 @@ class TestSignCountLaw:
 
 class TestClassify:
     def test_example_rho(self):
-        rho = canonicalize(
-            5, [[0, 2, -2, 3, -3, 5, -5], [1], [-1], [4], [-4]]
-        )
-        assert classify(rho) is Family.TYPE_D
+        assert RHO in set(enum_signed(5, Family.TYPE_D))
+        assert classify(RHO) is Family.TYPE_D
 
     def test_example_tau(self):
-        tau = canonicalize(
-            5, [[0], [-1, 2], [1, -2], [3, 5], [-3, -5], [4], [-4]]
-        )
-        assert classify(tau) is Family.TYPE_D
+        assert TAU in set(enum_signed(5, Family.TYPE_D))
+        assert classify(TAU) is Family.TYPE_D
 
     def test_example_gamma(self):
-        gamma = canonicalize(
-            5, [[0, 5, -5], [1, 3, -4], [-1, -3, 4], [2], [-2]]
-        )
-        assert classify(gamma) is Family.TYPE_B
+        assert GAMMA in set(enum_signed(5, Family.TYPE_B))
+        assert GAMMA not in set(enum_signed(5, Family.TYPE_D))
+        assert classify(GAMMA) is Family.TYPE_B
 
     def test_n0_is_type_d(self):
         p = SignedSetPartition(0, (), ())
         assert classify(p) is Family.TYPE_D
-
-
-class TestCanonicalize:
-    def test_all_in_zero_block(self):
-        p = canonicalize(2, [[0, 1, -1, 2, -2]])
-        assert p.zero_support == (1, 2)
-        assert p.pairs == ()
-
-    def test_representative_flip(self):
-        p = canonicalize(2, [[0], [-1, 2], [1, -2]])
-        assert p.zero_support == ()
-        assert p.pairs == ((1, -2),)
-
-    def test_idempotent(self):
-        p = canonicalize(2, [[0], [-1, 2], [1, -2]])
-        assert canonicalize(2, _to_blocks(p)) == p
-
-    def test_gamma_canonical_form(self):
-        p = canonicalize(5, [[0, 5, -5], [1, 3, -4], [-1, -3, 4], [2], [-2]])
-        assert p.zero_support == (5,)
-        assert p.pairs == ((1, 3, -4), (2,))
-
-    def test_missing_element(self):
-        with pytest.raises(InvalidCoverError):
-            canonicalize(2, [[0, 1, -1]])
-
-    def test_element_outside_range(self):
-        with pytest.raises(InvalidCoverError) as exc:
-            canonicalize(2, [[0], [1], [-1], [2, 3], [-2, -3]])
-        assert str(exc.value) == "element 3 outside <2>"
-
-    def test_duplicate_element(self):
-        with pytest.raises(InvalidCoverError):
-            canonicalize(1, [[0, 1, 1, -1]])
-
-    def test_zero_block_not_closed(self):
-        with pytest.raises(PairingError):
-            canonicalize(2, [[0, 1, 2, -2], [-1]])
-
-    def test_unpaired_block(self):
-        with pytest.raises(PairingError):
-            canonicalize(2, [[0], [1, 2], [-1], [-2]])
-
-    def test_block_with_i_and_minus_i(self):
-        with pytest.raises(PairingError):
-            canonicalize(2, [[0], [1, -1], [2], [-2]])
-
-    def test_both_signs_raised_before_missing_negation(self):
-        # [2] and [-2, 3] lack their negations, but the later [1, -1] holds
-        # both signs, and that check runs over every block first
-        with pytest.raises(PairingError, match=r"block \[-1, 1\] contains both"):
-            canonicalize(3, [[0], [2], [-2, 3], [-3], [1, -1]])
-
-    @pytest.mark.parametrize(
-        "blocks, named",
-        [
-            ([[0], [1], [-1], [3, -2], [2], [-3]], "[-2, 3]"),
-            ([[0], [2], [1], [-1], [3, -2], [-3]], "[2]"),
-        ],
-    )
-    def test_first_missing_negation_in_input_order(self, blocks, named):
-        with pytest.raises(PairingError) as exc:
-            canonicalize(3, blocks)
-        assert str(exc.value) == f"negation of block {named} is missing"
-
-    def test_empty_block(self):
-        with pytest.raises(InvalidCoverError, match="empty"):
-            canonicalize(1, [[0], [1], [-1], []])
-
-    @pytest.mark.parametrize("element", [1.0, "1"], ids=["float", "str"])
-    def test_non_integer_element_raises(self, element):
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            canonicalize(1, [[0], [element], [-1]])
-
-    def test_bool_element_reads_as_int(self):
-        p = canonicalize(1, [[0], [True], [-1]])
-        assert p.pairs == ((1,),) and type(p.pairs[0][0]) is int
-        assert p.render_text() == "0 | 1/-1"
 
 
 class TestCounts:
@@ -383,8 +308,7 @@ class TestOnePass:
 
 
 def test_render_text_zero_support():
-    p = canonicalize(5, [[0, 2, -2, 3, -3, 5, -5], [1], [-1], [4], [-4]])
-    assert p.render_text() == "0,±2,±3,±5 | 1/-1 | 4/-4"
+    assert RHO.render_text() == "0,±2,±3,±5 | 1/-1 | 4/-4"
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bellpart import dobinski, triangles
 from bellpart.dobinski import dobinski_a, dobinski_b, dobinski_d
-from bellpart.partitions import canonicalize, count_one_pass, enum_signed, line_groups
+from bellpart.partitions import count_one_pass, line_groups
 from bellpart.series import egf_triangle
 from bellpart.triangles import Family, bell, bell_a, bell_b, bell_d, bells, rows, stirling_row
 
@@ -129,19 +129,6 @@ def touchard_failure(n_max):
 def test_bells_satisfy_touchard_congruences():
     # reads what table bell* prints and no Stirling row
     assert touchard_failure(1000) is None
-
-
-@given(st.integers(0, 5), st.data())
-@settings(max_examples=40, deadline=None)
-def test_canonicalize_undoes_shuffle_and_sign_flip(n, data):
-    partitions = list(enum_signed(n, Family.TYPE_B))
-    p = data.draw(st.sampled_from(partitions))
-    zero = [0, *p.zero_support, *(-i for i in p.zero_support)]
-    blocks = [zero] + [list(b) for rep in p.pairs for b in (rep, [-x for x in rep])]
-    # x -> -x maps a signed partition onto itself, block for block
-    flipped = [[-x for x in b] for b in blocks]
-    shuffled = [data.draw(st.permutations(b)) for b in data.draw(st.permutations(flipped))]
-    assert canonicalize(n, shuffled) == p
 
 
 @given(
