@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellpart import series, triangles
-from bellpart.cli import _DOBINSKI_FN, _TABLE_FAMILIES, main
+from bellpart.cli import _DOBINSKI_FN, _TABLE_FAMILIES, _fast_args, build_parser, main
 from bellpart.triangles import Family, stirling, stirling_b
 
 
@@ -571,3 +571,62 @@ def test_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 2:
         assert out.getvalue() == "", argv
+
+
+# Tokens off the plain form, or spellings of a value that int() or Fraction()
+# reads as argparse does; argparse reads "-0_0" as an unknown option
+_ODD = st.sampled_from(
+    ["--rows=3", "-h", "--", "-0", "-0_0", "--format", "json", " 1/2", "+3", "3_0"]
+)
+
+
+@st.composite
+def _any_argv(draw):
+    # an argv of the grammar, then up to two edits that leave the plain form
+    # or keep it: an odd token anywhere, the last two tokens moved to the
+    # front or repeated, or two tokens joined by "="
+    argv = draw(_ARGV)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "move", "repeat", "join"]))
+        if edit == "insert":
+            argv.insert(i, draw(_ODD))
+        elif edit == "move":
+            argv = [*argv[:1], *argv[-2:], *argv[1:-2]]
+        elif edit == "repeat":
+            argv += argv[-2:]
+        else:
+            argv[i : i + 2] = ["=".join(argv[i : i + 2])]
+    return argv
+
+
+@given(_any_argv())
+@example(["table", "bell", "--rows=3"])
+@example(["table", "--rows", "3", "bell"])
+@example(["table", "bell", "--rows", "3", "--format", "json", "--format", "text"])
+@example(["-h"])
+@example(["table", "bell", "--rows", "3", "-h"])
+@example(["--", "table", "bell", "--rows", "3"])
+@example(["table", "bell", "--rows", "-0"])
+@example(["dobinski", "a", "3", " 1/2"])
+@example(["egf-check", "+3"])
+@example(["oracle-check", "3_0"])
+@example(["egf-check", "-0_0"])
+@settings(max_examples=300, deadline=None)
+def test_fast_args_agrees_with_argparse(argv):
+    # argparse is the reference: whatever the plain-form parser reads, it
+    # reads as argparse does; all else it leaves to argparse
+    fast = _fast_args(argv)
+    if fast is not None:
+        assert vars(fast) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [(["table", "bell", "--rows", "2"], True), (["table", "bell", "--rows=2"], False)],
+)
+def test_main_reads_sys_argv_on_both_paths(capsys, monkeypatch, argv, plain):
+    monkeypatch.setattr(sys, "argv", ["bellpart", *argv])
+    assert (_fast_args(argv) is not None) == plain
+    assert main() == 0
+    assert capsys.readouterr().out == "0\t1\n1\t1\n2\t2\n"

@@ -73,8 +73,11 @@ def test_subcommand_loads_only_what_it_runs(name, bare_modules):
     assert "bellpart.cli" in loaded
     # table and enumerate build their JSON lines themselves (json cannot
     # encode the Decimal cells that table prints), so no call loads json;
-    # every annotation is evaluated as written, so none loads __future__
+    # every annotation is evaluated as written, so none loads __future__;
+    # a plain-form argv is read without argparse, and so without the gettext
+    # and locale that argparse loads
     assert not loaded & {"dataclasses", "traceback", "json", "__future__"}
+    assert not loaded & {"argparse", "gettext", "locale"}
     if name in NO_PARTITIONS:
         assert "bellpart.partitions" not in loaded
     assert ("bellpart.series" in loaded) == (name == "egf-check")
@@ -83,6 +86,27 @@ def test_subcommand_loads_only_what_it_runs(name, bare_modules):
             assert module in modules
         else:
             assert module not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["table", "--help"], 0),
+        (["table", "bell", "--rows", "-1"], 2),
+        (["dobinski", "a", "3", "0"], 2),
+    ],
+)
+def test_help_and_usage_errors_import_argparse_on_demand(argv, code):
+    # argparse is imported only by build_parser and _arg, which run on these
+    proc = _child(CHILD, *argv)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stdout.startswith("usage: bellpart")
+    else:
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_internal_error_exits_3_in_fresh_interpreter():
