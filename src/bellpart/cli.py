@@ -27,11 +27,8 @@ namespace argparse would return.  Any other argv (help, a usage error,
 ``--rows=3``, an abbreviated flag, options before positionals, ``--``, a
 negative number) goes to the argparse parser of ``build_parser``, so
 ``argparse``, and the ``gettext`` and ``locale`` it loads, are imported only
-then.  Every call the benchmark makes is in the plain form.  In fresh
-processes compiling bellpart as they load it, that took ``table bell --rows
-0`` from 68.7 to 63.9 ms and ``dobinski b 45 1/2`` from 74.3 to 70.4 ms, and
-their peak RSS from 14.88 to 14.55 MB and from 15.24 to 14.82 MB (medians of
-25 alternating pairs; 2-vCPU KVM guest, Python 3.11.7).
+then.  Every call the benchmark makes is in the plain form, so none of them
+pays for loading argparse.
 """
 
 import os
@@ -131,7 +128,7 @@ def cmd_dobinski(args) -> int:
     exact = exact_fn(args.n)
     print(f"lo {interval.lo}")
     print(f"hi {interval.hi}")
-    ok = interval.contains(exact)
+    ok = interval.contains(exact) and interval.width <= args.width
     if 2 * args.width <= 1:
         rounded = round(interval.midpoint)
         ok = ok and rounded == exact

@@ -8,9 +8,9 @@ Number families, each selected by a ``Family``:
   ``S_B(n,k) = S_B(n-1,k-1) + (2k+1) S_B(n-1,k)``
 * ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
   ``S_D(n,k) = S_B(n,k) - n U(n-1,k)``, anew on each read, where
-  ``U(m,k) = 2^(m-k) S(m,k)``.  Rows read in order (``rows``, ``verify``)
-  come from one helper, ``_d_rows``, which walks U by its own recurrence;
-  random access shifts classical row n - 1 into U.
+  ``U(m,k) = 2^(m-k) S(m,k)`` walks by its own recurrence.  Rows read in
+  order (``rows``, ``verify``) come from one helper, ``_d_rows``; a random
+  read takes B row n and U row n - 1 from the same two walks.
 * ``bell_a / bell_b / bell_d`` -- the corresponding row sums, each the n-th
   term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
   It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
@@ -28,8 +28,9 @@ takes quadratic time.  Each such row is built in ``_exact_context()``, a
 context of the largest precision that traps ``Inexact`` and ``Rounded``, so a
 cell that would be rounded raises instead; the caller's context is never
 changed.  ``decimal`` is imported by that walk alone, not with the module.
-Random access reads row n through ``_row(family, n)``, which walks on from the
-last two rows it read; ``rows(family)`` walks rows 0, 1, 2, ... in order.
+Random access reads row n through ``_row(family, n)``, which walks from row 0
+on every read and keeps nothing between reads; ``rows(family)`` walks rows
+0, 1, 2, ... in order.
 Rows, cells and Bell numbers exist for n >= 0 only: a negative n raises
 ValueError, whatever k is.  Every family argument, here and in ``series`` and
 ``partitions``, is read through ``_lookup``, so a value that is not a
@@ -39,7 +40,6 @@ negative one raises ValueError naming the argument and its value, and one
 that is not an integer, such as ``2.5`` or ``"3"``, raises TypeError.
 """
 
-from collections import deque
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat, zip_longest
@@ -101,15 +101,15 @@ def extend_weighted_rows(rows: list[list[int]], family: Family, n_max: int) -> l
     return rows
 
 
-# The windows of random access: the last two consecutive classical and B rows
-# that ``_row`` read.  A read replaces a whole window in one step, and no row
-# is changed once handed out, so concurrent readers need no lock.
-_rows_classical: list[list[int]] = []
-_rows_b: list[list[int]] = []
+# Empty, and never written: random access keeps no rows.  The names stay for
+# their one reader, perfbench/traced_cli.py, which sums the rows they hold.
+_rows_classical: tuple = ()
+_rows_b: tuple = ()
 
 
 def _u_row(row: list[int]) -> list[int]:
-    """U(m,k) = 2^(m-k) S(m,k) for k = 0..m, from classical row m."""
+    """U(m,k) = 2^(m-k) S(m,k) for k = 0..m, shifted from classical row m: the
+    reference ``_Tables`` checks the U walk against."""
     m = len(row) - 1
     return [s << (m - k) for k, s in enumerate(row)]
 
@@ -138,21 +138,13 @@ def _d_rows(b_rows: Iterator[list], one=1) -> Iterator[list]:
 
 
 def _row(family: Family, n: int) -> list[int]:
-    """Row n of the family's triangle: a new list for type D, else maybe one the
-    window holds, so callers must not change it.  A row not held is walked to
-    from the window's last row, or from row 0 when n is below it."""
+    """Row n of the family's triangle as a new list, walked from row 0 on each
+    read: type D from B row n and U row n - 1, as ``rows(TYPE_D)`` builds it."""
     _size(n)
     if family is Family.TYPE_D:
-        u_prev = _u_row(_row(Family.CLASSICAL, n - 1)) if n else []
+        u_prev = next(islice(_u_walk(), n - 1, None)) if n else []
         return _d_from(n, _row(Family.TYPE_B, n), u_prev)
-    held = _lookup({Family.CLASSICAL: _rows_classical, Family.TYPE_B: _rows_b}, family)
-    # row m has m + 1 cells; held[:] is one snapshot while others publish
-    window = [row for row in held[:] if len(row) <= n + 1] or [[1]]
-    if len(window[-1]) <= n:
-        walk = islice(_weighted_walk(family, window[-1]), 1, n + 2 - len(window[-1]))
-        window += deque(walk, maxlen=2)
-        held[:] = window[-2:]
-    return window[-1]
+    return next(islice(_weighted_walk(family, [1]), n, None))
 
 
 def _cell(family: Family, n: int, k: int) -> int:
@@ -313,9 +305,9 @@ def stirling(family: Family, n: int, k: int) -> int:
 def stirling_row(family: Family, n: int) -> list[int]:
     """Row n of the family's triangle, ``[S(n, 0), ..., S(n, n)]``.
 
-    The list is a new copy, so callers may change it freely.
+    The list is a new one, so callers may change it freely.
     """
-    return list(_row(family, n))
+    return _row(family, n)
 
 
 def bell(family: Family, n: int) -> int:

@@ -15,12 +15,11 @@ def wrong_cell(monkeypatch):
     two calls can change two cells of one row.  ``family`` is a ``Family``
     walked by ``_weighted_walk``, ``Family.TYPE_D`` for the rows that
     ``_d_from`` builds, or ``"U"`` for the U(n,k) = 2^(n-k) S(n,k) walk that
-    builds the type-D rows read in order.
+    every type-D row is built from.
 
     Each seam hands out a changed copy of row n, and a walk builds row n + 1
-    from the true row, so only the cells named are wrong.  The random-access
-    windows start empty and are dropped with the patch, so no wrong row
-    outlives the test.
+    from the true row, so only the cells named are wrong.  ``triangles``
+    keeps no row between calls, so no wrong row outlives the test.
     """
     wrong: dict = {}  # family -> {(n, k): value}
 
@@ -39,8 +38,6 @@ def wrong_cell(monkeypatch):
     )
     monkeypatch.setattr(triangles, "_u_walk", lambda *one: map(partial(changed, "U"), u_walk(*one)))
     monkeypatch.setattr(triangles, "_d_from", lambda *args: changed(Family.TYPE_D, d_from(*args)))
-    monkeypatch.setattr(triangles, "_rows_classical", [])
-    monkeypatch.setattr(triangles, "_rows_b", [])
 
     def patch(family, n, k, value):
         wrong.setdefault(family, {})[n, k] = value

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from bellpart import partitions, triangles
 from bellpart.cli import main
-from bellpart.triangles import Family, bell_a, bell_b, bell_d, stirling2, stirling_row
+from bellpart.triangles import Family, bell_a, bell_b, bell_d, rows, stirling2
 
 from test_partitions import GAMMA, RHO, TAU
 from test_triangles import (
@@ -136,14 +136,15 @@ def test_criterion_7_scale_to_300():
     for n in range(n_max):
         b.append(b[n] + sum((1 << k) * math.comb(n, k) * b[n - k] for k in range(n + 1)))
     ok = True
-    for n in range(n_max + 1):
-        ok = ok and sum(stirling_row(Family.CLASSICAL, n)) == a[n]
-        ok = ok and sum(stirling_row(Family.TYPE_B, n)) == b[n]
-        # B(n) - D(n) = n W(n-1), W(m) = sum_k 2^(m-k) S(m,k); row n - 1 is
-        # still in the random-access window, so reading it walks nothing
-        prev = stirling_row(Family.CLASSICAL, n - 1) if n else []
+    prev = []  # classical row n - 1
+    walks = zip(range(n_max + 1), *map(rows, Family))
+    for n, classical_row, b_row, d_row in walks:
+        ok = ok and sum(classical_row) == a[n]
+        ok = ok and sum(b_row) == b[n]
+        # B(n) - D(n) = n W(n-1), W(m) = sum_k 2^(m-k) S(m,k)
         defect = n * sum(s << (n - 1 - k) for k, s in enumerate(prev))
-        ok = ok and sum(stirling_row(Family.TYPE_D, n)) == b[n] - defect
+        ok = ok and sum(d_row) == b[n] - defect
+        prev = classical_row
     elapsed = time.perf_counter() - start
     report("7 scale-to-300", ok and elapsed < 10.0, elapsed)
 

@@ -120,27 +120,6 @@ def test_table_shows_wrong_b_cell(capsys, wrong_cell, name, family):
     assert [line.split("\t") for line in out.splitlines()] == expected
 
 
-def test_commands_reading_rows_in_order_leave_caches_empty(capsys, monkeypatch):
-    # table, oracle-check and egf-check walk the rows, the Bell numbers of
-    # table and dobinski come from the Bell recurrences, and verify walks rows
-    # of its own for each call; the windows are for random access alone
-    monkeypatch.setattr(triangles, "_rows_classical", [])
-    monkeypatch.setattr(triangles, "_rows_b", [])
-    for argv in (
-        ["table", "bell-b", "--rows", "50"],
-        ["table", "bell-d", "--rows", "50"],
-        ["table", "stirling-d", "--rows", "50"],
-        ["dobinski", "b", "40", "1/2"],
-        ["oracle-check", "4"],
-        ["egf-check", "12"],
-        ["verify", "all", "--max-n", "20"],
-    ):
-        code, _ = run(capsys, *argv)
-        assert code == 0
-        assert triangles._rows_classical == []
-        assert triangles._rows_b == []
-
-
 def test_table_unknown_family_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "stirling-q", "--rows", "3"])

@@ -1,5 +1,6 @@
 """Interval enclosures of the explicit Bell-number formulas."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,27 @@ from bellpart.triangles import bell_a, bell_b, bell_d
 
 F = Fraction
 HALF = F(1, 2)
+
+# seconds a test here may run: an R or J search of _enclose that never ends
+# then fails fast, not at the CI job's timeout
+WALL_BOUND_S = 120
+
+
+@pytest.fixture(autouse=True)
+def wall_bound():
+    """Fail the test with TimeoutError once it runs past ``WALL_BOUND_S``
+    (SIGALRM: POSIX, as CI is)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {WALL_BOUND_S} s wall bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WALL_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestInterval:

@@ -17,13 +17,16 @@ Only ``oracle-check`` reads it, so ``verify`` and ``egf-check`` are pinned as
 blind to them.
 
 The seam faults are one wrong value at a seam no row walk reads: the Bell
-recurrence, an EGF prefactor and the Dobinski numerators.
+recurrence, an EGF prefactor, the Dobinski numerators and the e^(-1/q)
+bracket.
 
 The ties of ``tests/test_properties.py`` that no CLI check runs yet are
 pinned last, each against the fault it is there to see: a wrong Dobinski
 numerator, the B cell fault that ``D_FROM_B`` and ``ZERO_BLOCK_DEFECT``
 cannot see, and a wrong Bell number far past every CLI check above.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -167,6 +170,18 @@ def _wrong_numerator(name):
     return inject
 
 
+def _wide_e_bracket(monkeypatch):
+    # e^(-1/q) bracketed 1/100 wider on each side: still around e^(-1/q), but
+    # every enclosure comes out wider than its width target
+    bounds = dobinski.exp_neg_bounds
+
+    def wide(v, terms):
+        lo, hi = bounds(v, terms)
+        return dobinski.Interval(lo - Fraction(1, 100), hi + Fraction(1, 100))
+
+    monkeypatch.setattr(dobinski, "exp_neg_bounds", wide)
+
+
 SEAM_FAULTS = {
     # verify and oracle-check read Bell numbers as row sums, never through
     # bells(): blind on purpose
@@ -177,6 +192,9 @@ SEAM_FAULTS = {
     # 0^5 read as 1
     "numerator-a": (_wrong_numerator("_num_a"), {"dobinski a"}),
     "numerator-d": (_wrong_numerator("_num_d"), {"dobinski d"}),
+    # each interval still contains its Bell number and rounds to it: only the
+    # width check sees this
+    "e-bracket": (_wide_e_bracket, {"dobinski a", "dobinski b", "dobinski d"}),
 }
 
 

@@ -7,7 +7,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import pairwise
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellpart import dobinski, triangles
@@ -134,8 +134,13 @@ def test_bells_satisfy_touchard_congruences():
 @given(
     st.sampled_from([(dobinski_a, bell_a), (dobinski_b, bell_b), (dobinski_d, bell_d)]),
     st.integers(0, 120),
-    st.fractions(min_value=Fraction(1, 2**64), max_value=1, max_denominator=2**64),
+    st.one_of(
+        st.fractions(min_value=Fraction(1, 2**64), max_value=1, max_denominator=2**64),
+        st.fractions(min_value=1, max_value=10**6, max_denominator=2**64),
+    ),
 )
+# an initial J scale of 3 q^2, not 2 q^2, made this interval 103.1 wide
+@example((dobinski_b, bell_b), 24, Fraction(100))
 @settings(max_examples=30, deadline=None)
 def test_dobinski_contains_exact_value(fns, n, width):
     enclose, exact = fns

@@ -140,9 +140,7 @@ def test_bell_negative_n_raises(fn, n):
 
 
 @pytest.mark.parametrize("fn", [bell_a, bell_b, bell_d])
-def test_bell_negative_n_raises_on_cold_cache(fn, monkeypatch):
-    monkeypatch.setattr(triangles, "_rows_classical", [])
-    monkeypatch.setattr(triangles, "_rows_b", [])
+def test_bell_negative_n_raises_on_cold_cache(fn):
     with pytest.raises(ValueError):
         fn(-1)
 
@@ -164,6 +162,8 @@ def test_row_sums_match_bell():
         assert sum(stirling2(n, k) for k in range(n + 1)) == bell_a(n)
         assert sum(stirling_b(n, k) for k in range(n + 1)) == bell_b(n)
         assert sum(stirling_d(n, k) for k in range(n + 1)) == bell_d(n)
+    # a whole row read at random, walked from row 0
+    assert sum(stirling_row(Family.TYPE_D, 300)) == bell_d(300)
 
 
 def test_diagonal_and_bounds():
@@ -217,7 +217,7 @@ def test_stirling_row_matches_cells(family):
         assert stirling_row(family, n) == [stirling(family, n, k) for k in range(n + 1)]
     with pytest.raises(ValueError):
         stirling_row(family, -1)
-    # the in-order walk, which builds its rows apart from the windows
+    # the in-order walk, which builds its rows apart from any random read
     for n, row in zip(range(301), triangles.rows(family)):
         assert row == stirling_row(family, n)
 
@@ -258,8 +258,8 @@ def test_stirling_row_is_a_copy(family):
 
 
 def test_concurrent_random_reads():
-    # 8 threads read rows at random n, each read walking from, or
-    # replacing, the windows the others are reading
+    # 8 threads read rows at random n at once; a read shares no state with
+    # another, so each gets the row the in-order walk yields
     true_rows = {family: list(islice(triangles.rows(family), 151)) for family in Family}
     reads = [
         [(rng.choice(list(Family)), rng.randint(0, 150)) for _ in range(12)]
@@ -287,19 +287,9 @@ def test_concurrent_random_reads():
         assert out == [true_rows[family][n] for family, n in mine]
 
 
-def test_windows_hold_two_rows(monkeypatch):
-    monkeypatch.setattr(triangles, "_rows_classical", [])
-    monkeypatch.setattr(triangles, "_rows_b", [])
-    assert sum(stirling_row(Family.TYPE_D, 300)) == bell_d(300)
-    assert [len(row) for row in triangles._rows_b] == [300, 301]
-    assert [len(row) for row in triangles._rows_classical] == [299, 300]
-
-
 @pytest.mark.parametrize("family", ["b", "d", None, pytest.param([], id="unhashable")])
 def test_non_family_raises(family):
-    # with B rows in the window, a stray family must raise, not read them;
     # every module reads a family through triangles._lookup
-    stirling_row(Family.TYPE_B, 5)
     for call in (
         lambda: stirling_row(family, 3),
         lambda: triangles.rows(family),  # at the call, before any row
@@ -407,7 +397,8 @@ class TestIdentities:
         reports = {ident: verify_identity(ident, n_max) for ident in triangles.IDENTITY_IDS}
         assert all(report.status for report in reports.values())
         for ident, family in (("B_BELL_REC", Family.TYPE_B), ("D_BELL_REC", Family.TYPE_D)):
-            row_sums = tuple((n, sum(stirling_row(family, n))) for n in range(1, n_max + 1))
+            walk = islice(rows(family), 1, n_max + 1)
+            row_sums = tuple((n, sum(row)) for n, row in enumerate(walk, 1))
             assert reports[ident].values == row_sums
 
     def test_shared_tables(self):
