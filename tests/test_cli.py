@@ -120,6 +120,31 @@ def test_table_shows_wrong_b_cell(capsys, wrong_cell, name, family):
     assert [line.split("\t") for line in out.splitlines()] == expected
 
 
+def test_commands_reading_rows_in_order_leave_caches_empty(capsys):
+    # random access keeps no rows, so no command, and no random read after
+    # them, writes to triangles' module state: every name stays bound to the
+    # object it had, and the names perfbench/traced_cli.py sums stay empty
+    before = dict(vars(triangles))
+    for argv in (
+        ["table", "bell-b", "--rows", "50"],
+        ["table", "bell-d", "--rows", "50"],
+        ["table", "stirling-d", "--rows", "50"],
+        ["dobinski", "b", "40", "1/2"],
+        ["oracle-check", "4"],
+        ["egf-check", "12"],
+        ["verify", "all", "--max-n", "20"],
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 0
+    for family in Family:
+        triangles.stirling_row(family, 40)
+    after = vars(triangles)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    assert triangles._rows_classical == ()
+    assert triangles._rows_b == ()
+
+
 def test_table_unknown_family_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "stirling-q", "--rows", "3"])
