@@ -77,10 +77,9 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     ids = triangles.IDENTITY_IDS if args.identity == "all" else (args.identity,)
-    tables = triangles._Tables(args.max_n)
     ok = True
     for ident in ids:
-        report = triangles.verify_identity(ident, args.max_n, tables)
+        report = triangles.verify_identity(ident, args.max_n)
         if report.status:
             print(f"{ident}: PASS (n <= {args.max_n})")
             if report.values is not None and args.identity != "all":

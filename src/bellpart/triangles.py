@@ -8,9 +8,9 @@ Number families, each selected by a ``Family``:
   ``S_B(n,k) = S_B(n-1,k-1) + (2k+1) S_B(n-1,k)``
 * ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
   ``S_D(n,k) = S_B(n,k) - n U(n-1,k)``, anew on each read, where
-  ``U(m,k) = 2^(m-k) S(m,k)`` walks by its own recurrence.  Rows read in
-  order (``rows``, ``verify``) come from one helper, ``_d_rows``; a random
-  read takes B row n and U row n - 1 from the same two walks.
+  ``U(m,k) = 2^(m-k) S(m,k)`` walks by its own recurrence.  Every D row,
+  read in order (``rows``, ``verify``) or at random, is ``_d_from`` of B
+  row n and U row n - 1 from those two walks.
 * ``bell_a / bell_b / bell_d`` -- the corresponding row sums, each the n-th
   term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
   It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
@@ -41,9 +41,8 @@ that is not an integer, such as ``2.5`` or ``"3"``, raises TypeError.
 """
 
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat, zip_longest
-from operator import add, index, mul, sub
+from operator import add, index, itemgetter, mul, sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
 
@@ -109,7 +108,7 @@ _rows_b: tuple = ()
 
 def _u_row(row: list[int]) -> list[int]:
     """U(m,k) = 2^(m-k) S(m,k) for k = 0..m, shifted from classical row m: the
-    reference ``_Tables`` checks the U walk against."""
+    reference ``verify`` checks the U walk against."""
     m = len(row) - 1
     return [s << (m - k) for k, s in enumerate(row)]
 
@@ -132,9 +131,11 @@ def _u_walk(one=1) -> Iterator[list]:
     return _walk([one], 0 * one, 2 * one)
 
 
-def _d_rows(b_rows: Iterator[list], one=1) -> Iterator[list]:
-    """Type-D rows 0, 1, ... from B rows 0, 1, ... and the U walk."""
-    return map(_d_from, count(), b_rows, chain([[]], _u_walk(one)), repeat(one))
+def _b_and_d_rows(one=1) -> Iterator[tuple[list, list]]:
+    """(B row n, D row n) for n = 0, 1, ...: one B walk, and each D row built
+    from the B row beside it and U row n - 1 of the U walk."""
+    b_rows, u_before = _weighted_walk(Family.TYPE_B, [one], one), chain([[]], _u_walk(one))
+    return map(lambda n, b, u: (b, _d_from(n, b, u, one)), count(), b_rows, u_before)
 
 
 def _row(family: Family, n: int) -> list[int]:
@@ -186,7 +187,7 @@ def rows(family: Family, one=1) -> Iterator[list]:
     if (type(one) is not int and type(one) is not decimal.Decimal) or str(one) != "1":
         raise ValueError(f"one must be 1 or Decimal(1), not {one!r}")
     if family is Family.TYPE_D:
-        walk = _d_rows(_weighted_walk(Family.TYPE_B, [one], one), one)
+        walk = map(itemgetter(1), _b_and_d_rows(one))
     else:
         walk = _weighted_walk(family, [one], one)
     return walk if type(one) is int else _exact_rows(walk)
@@ -330,117 +331,118 @@ class IdentityReport(NamedTuple):
     values: Optional[tuple[tuple[int, int], ...]] = None
 
 
-class _Tables:
-    """What the identities read for n <= n_max, each piece built once.
+def _pascal() -> Iterator[list[int]]:
+    """Rows of C(n, i): Pascal's rule is the row step with w(k) = 1."""
+    return _walk([1], 1, 0)
 
-    Rows 0..n_max are walked for this object alone, which one ``verify``
-    call shares among its identities.  The D rows are ``_d_rows`` of these B
-    rows, as ``rows(TYPE_D)`` prints them; the classical rows, and what W,
-    ``b_from_classical`` and ``d_from_b`` shift from them into U by
-    ``_u_row``, never from the U walk, are the reference D is checked against.
-    Every table is built on first use, so the checks build only what they read.
-    """
 
-    def __init__(self, n_max: int):
-        self.n_max = _size(n_max, "n_max")
+def _sums(family: Family) -> Iterator[int]:
+    """The family's Bell numbers as the row sums of ``rows(family)``."""
+    return map(sum, rows(family))
 
-    @cached_property
-    def classical(self) -> list[list[int]]:
-        return extend_weighted_rows([], Family.CLASSICAL, self.n_max)
 
-    @cached_property
-    def b(self) -> list[list[int]]:
-        return extend_weighted_rows([], Family.TYPE_B, self.n_max)
+def _w() -> Iterator[int]:
+    """W(m) = sum_k U(m,k), U shifted from the classical rows."""
+    return map(sum, map(_u_row, rows(Family.CLASSICAL)))
 
-    @cached_property
-    def d(self) -> list[list[int]]:
-        return list(_d_rows(self.b))
 
-    @cached_property
-    def pascal(self) -> list[list[int]]:
-        """Rows of C(n, i): Pascal's rule is the row step with w(k) = 1."""
-        return list(islice(_walk([1], 1, 0), self.n_max + 1))
+def _binomial_sum(pascal_row: list[int], x: list[int], shift: int) -> int:
+    """sum_k c^k C(n,k) x(n-k), c = 2^shift, from Pascal row n."""
+    n = len(pascal_row) - 1
+    return sum((c * x[n - k]) << (shift * k) for k, c in enumerate(pascal_row))
 
-    @cached_property
-    def bell_b(self) -> list[int]:
-        return list(map(sum, self.b))
 
-    @cached_property
-    def bell_d(self) -> list[int]:
-        return list(map(sum, self.d))
+# Each identity is a generator of (lhs, rhs) for each n up to n_max, from
+# walks it starts for the call.  W and the right sides of B_FROM_CLASSICAL
+# and D_FROM_B shift classical rows into U by ``_u_row``, never reading the
+# U walk that the D rows are built from.
 
-    @cached_property
-    def w(self) -> list[int]:
-        """W(m) = sum_k U(m,k), U shifted from the classical rows."""
-        return [sum(_u_row(row)) for row in self.classical]
 
-    def binomial_sum(self, n: int, x: list[int], shift: int) -> int:
-        """sum_k c^k C(n,k) x(n-k), c = 2^shift."""
-        return sum((c * x[n - k]) << (shift * k) for k, c in enumerate(self.pascal[n]))
-
-    def b_from_classical(self, n: int) -> list[int]:
-        """sum_i C(n,i) U(i,k) for k = 0..n, one U row at a time."""
+def _b_from_classical(n_max: int) -> Iterator[tuple]:
+    # S_B(n,k) = sum_i C(n,i) U(i,k): the one identity that holds rows, U rows
+    # 0..n_max, each shifted once from a classical row
+    u_rows = list(map(_u_row, extend_weighted_rows([], Family.CLASSICAL, n_max)))
+    for n, b, pascal in zip(range(n_max + 1), rows(Family.TYPE_B), _pascal()):
         rhs = [0] * (n + 1)
-        for c, row in zip(self.pascal[n], self.classical):
-            rhs[: len(row)] = map(add, rhs, map(mul, repeat(c), _u_row(row)))
-        return rhs
+        for c, u in zip(pascal, u_rows):
+            rhs[: len(u)] = map(add, rhs, map(mul, repeat(c), u))
+        yield b, rhs
 
-    def d_from_b(self, n: int) -> list[int]:
-        """S_B(n,k) - n U(n-1,k) for k < n, U shifted from classical row n - 1,
-        then S_B(n,n)."""
-        u_prev = _u_row(self.classical[n - 1]) if n else []
-        return [*map(sub, self.b[n], map(mul, repeat(n), u_prev)), self.b[n][n]]
+
+def _d_from_b(n_max: int) -> Iterator[tuple]:
+    # S_D(n,k) = S_B(n,k) - n U(n-1,k) for k < n, then S_B(n,n)
+    classical_before = chain([[]], rows(Family.CLASSICAL))
+    for n, (b, d), row in zip(range(n_max + 1), _b_and_d_rows(), classical_before):
+        yield d, [*map(sub, b, map(mul, repeat(n), _u_row(row))), b[n]]
+
+
+def _b_bell_rec(n_max: int) -> Iterator[tuple]:
+    # B(n+1) = B(n) + sum_k 2^k C(n,k) B(n-k)
+    b = list(islice(_sums(Family.TYPE_B), n_max + 1))
+    for n, pascal in zip(range(n_max), _pascal()):
+        yield b[n + 1], b[n] + _binomial_sum(pascal, b, 1)
+
+
+def _odd_weight_sum(n_max: int) -> Iterator[tuple]:
+    # sum_k (2k+1) S_B(n,k) = sum_k 2^k C(n,k) B(n-k)
+    b = []
+    for row, pascal in zip(islice(rows(Family.TYPE_B), n_max + 1), _pascal()):
+        b.append(sum(row))
+        yield sum((2 * k + 1) * s for k, s in enumerate(row)), _binomial_sum(pascal, b, 1)
+
+
+def _d_bell_rec(n_max: int) -> Iterator[tuple]:
+    # D(n+1) = sum_(i>=1) C(n,i) W(n-i) + sum_k 2^k C(n,k) D(n-k)
+    d, w = list(islice(_sums(Family.TYPE_D), n_max + 1)), []
+    for n, w_n, pascal in zip(range(n_max), _w(), _pascal()):
+        w.append(w_n)
+        yield d[n + 1], _binomial_sum(pascal, w, 0) - w_n + _binomial_sum(pascal, d, 1)
+
+
+def _zero_block_defect(n_max: int) -> Iterator[tuple]:
+    # n W(n-1), the closed form of B(n) - D(n); 0 at n = 0
+    w_before = chain([0], _w())
+    for n, (b, d), w in zip(range(n_max + 1), _b_and_d_rows(), w_before):
+        yield sum(b) - sum(d), n * w
+
+
+def _thm_4_7(n_max: int) -> Iterator[tuple]:
+    # sum_(i>=1) C(n,i) W(n-i) = B(n) - W(n)
+    w = []
+    for w_n, b, pascal in zip(islice(_w(), n_max + 1), _sums(Family.TYPE_B), _pascal()):
+        w.append(w_n)
+        yield _binomial_sum(pascal, w, 0) - w_n, b - w_n
 
 
 class _Identity(NamedTuple):
-    # (n, tables) -> (lhs, rhs): whole rows (lists) or ints
-    sides: Callable[[int, _Tables], tuple]
+    # n_max -> (lhs, rhs) for each n: whole rows (lists) or ints
+    sides: Callable[[int], Iterator[tuple]]
     # A recurrence for n + 1 is checked for n < n_max; it reports its
     # values at n + 1 and a failure at the base index n.
     shift: int = 0
 
 
 _IDENTITIES = {
-    "B_FROM_CLASSICAL": _Identity(lambda n, t: (t.b[n], t.b_from_classical(n))),
-    "D_FROM_B": _Identity(lambda n, t: (t.d[n], t.d_from_b(n))),
-    "B_BELL_REC": _Identity(
-        lambda n, t: (t.bell_b[n + 1], t.bell_b[n] + t.binomial_sum(n, t.bell_b, 1)), shift=1
-    ),
-    "ODD_WEIGHT_SUM": _Identity(
-        lambda n, t: (
-            sum((2 * k + 1) * s for k, s in enumerate(t.b[n])),
-            t.binomial_sum(n, t.bell_b, 1),
-        )
-    ),
-    # D(n+1) = sum_(i>=1) C(n,i) W(n-i) + sum_k 2^k C(n,k) D(n-k)
-    "D_BELL_REC": _Identity(
-        lambda n, t: (
-            t.bell_d[n + 1],
-            t.binomial_sum(n, t.w, 0) - t.w[n] + t.binomial_sum(n, t.bell_d, 1),
-        ),
-        shift=1,
-    ),
-    "ZERO_BLOCK_DEFECT": _Identity(
-        # n W(n-1), the closed form of B(n) - D(n); 0 at n = 0
-        lambda n, t: (t.bell_b[n] - t.bell_d[n], n * t.w[n - 1] if n else 0)
-    ),
-    # sum_(i>=1) C(n,i) W(n-i) = B(n) - W(n)
-    "THM_4_7": _Identity(lambda n, t: (t.binomial_sum(n, t.w, 0) - t.w[n], t.bell_b[n] - t.w[n])),
+    "B_FROM_CLASSICAL": _Identity(_b_from_classical),
+    "D_FROM_B": _Identity(_d_from_b),
+    "B_BELL_REC": _Identity(_b_bell_rec, shift=1),
+    "ODD_WEIGHT_SUM": _Identity(_odd_weight_sum),
+    "D_BELL_REC": _Identity(_d_bell_rec, shift=1),
+    "ZERO_BLOCK_DEFECT": _Identity(_zero_block_defect),
+    "THM_4_7": _Identity(_thm_4_7),
 }
 
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def verify_identity(
-    identity_id: str, n_max: int, tables: Optional[_Tables] = None
-) -> IdentityReport:
+def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     """Check one identity exactly for every n (and k where applicable) up to n_max.
 
     Both sides are counts, so a left side that differs from the right side
-    or is negative fails.  Each side reads tables built once: the classical,
-    B and D rows, the Pascal rows and the sequences B(n), D(n) and
-    W(m) = sum_k 2^(m-k) S(m,k).  They are built for the call, or read from
-    ``tables``, a ``_Tables(m)`` with m >= n_max that several calls share.
+    or is negative fails.  Each identity walks, for this call alone, the
+    rows it reads up to n_max, holding one row of each walk at a time, and
+    the sequences B(n), D(n) and W(m) = sum_k 2^(m-k) S(m,k) as row sums;
+    B_FROM_CLASSICAL alone holds rows, U rows 0..n_max.
 
     The D rows are those ``rows(TYPE_D)`` yields, from the B rows and the U
     walk, and D_FROM_B and ZERO_BLOCK_DEFECT compare them with the classical
@@ -450,16 +452,11 @@ def verify_identity(
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")
-    if tables is None:
-        tables = _Tables(n_max)
-    elif not _size(n_max, "n_max") <= tables.n_max:
-        raise ValueError(f"n_max must be in 0..{tables.n_max}, got {n_max}")
     identity = _IDENTITIES[identity_id]
 
     failure: Optional[tuple[int, Optional[int], Optional[int], Optional[int]]] = None
     values: Optional[list[tuple[int, int]]] = []
-    for n in range(n_max + 1 - identity.shift):
-        lhs, rhs = identity.sides(n, tables)
+    for n, (lhs, rhs) in enumerate(identity.sides(_size(n_max, "n_max"))):
         if isinstance(lhs, list):
             values = None
             # a cell that one side lacks reads None, and fails

@@ -183,23 +183,29 @@ def _count_walked_rows(monkeypatch) -> Counter:
     return walked
 
 
-def test_verify_all_walks_each_row_once(capsys, monkeypatch):
-    # the seven identities read one set of tables: classical and B rows
-    # 0..20, and U rows 0..19, from which D rows 0..20 are built
-    walked = _count_walked_rows(monkeypatch)
-    code, out = run(capsys, "verify", "all", "--max-n", "20")
-    assert code == 0
-    assert out.count("PASS") == 7
-    assert walked == {Family.CLASSICAL: 21, Family.TYPE_B: 21, "U": 20}
+# the families each identity walks for verify --max-n 20: rows 0..20, less
+# the last where a side reads row n - 1 (U for the D rows, classical for W
+# and the U shift of D_FROM_B) or a recurrence stops at n = 19
+_C, _B = Family.CLASSICAL, Family.TYPE_B
+WALKED_ROWS = {
+    "B_FROM_CLASSICAL": {_C: 21, _B: 21},
+    "D_FROM_B": {_C: 20, _B: 21, "U": 20},
+    "B_BELL_REC": {_B: 21},
+    "ODD_WEIGHT_SUM": {_B: 21},
+    "D_BELL_REC": {_C: 20, _B: 21, "U": 20},
+    "ZERO_BLOCK_DEFECT": {_C: 20, _B: 21, "U": 20},
+    "THM_4_7": {_C: 21, _B: 21},
+}
 
 
-def test_verify_walks_only_rows_read(capsys, monkeypatch):
-    # the B Bell recurrence reads the B rows alone
+@pytest.mark.parametrize("ident", triangles.IDENTITY_IDS)
+def test_verify_walks_only_rows_read(capsys, monkeypatch, ident):
+    # each identity walks only the families it reads, each row once
     walked = _count_walked_rows(monkeypatch)
-    code, out = run(capsys, "verify", "B_BELL_REC", "--max-n", "20")
+    code, out = run(capsys, "verify", ident, "--max-n", "20")
     assert code == 0
-    assert out.startswith("B_BELL_REC: PASS")
-    assert walked == {Family.TYPE_B: 21}
+    assert out.startswith(f"{ident}: PASS")
+    assert walked == WALKED_ROWS[ident]
 
 
 def test_verify_single_shows_values(capsys):

@@ -227,10 +227,9 @@ def _short_d_rows(monkeypatch):
 
 def _short_b_from_classical(monkeypatch):
     # the right side of B_FROM_CLASSICAL loses its last cell
-    b_from_classical = triangles._Tables.b_from_classical
-    monkeypatch.setattr(
-        triangles._Tables, "b_from_classical", lambda self, n: b_from_classical(self, n)[:-1]
-    )
+    identity = triangles._IDENTITIES["B_FROM_CLASSICAL"]
+    short = lambda n_max: ((lhs, rhs[:-1]) for lhs, rhs in identity.sides(n_max))
+    monkeypatch.setitem(triangles._IDENTITIES, "B_FROM_CLASSICAL", identity._replace(sides=short))
 
 
 SHORT_ROWS = {

@@ -49,5 +49,5 @@ def test_traced_cli_wraps_every_layer():
     assert proc.returncode == 0, proc.stderr
     record = json.loads(record)
     assert LAYERS <= set(record["layers"])
-    # _Tables walks classical and B rows 0..3 through extend_weighted_rows
-    assert record["counters"]["kernels.cells"] == 20
+    # B_FROM_CLASSICAL reads classical rows 0..3 through extend_weighted_rows
+    assert record["counters"]["kernels.cells"] == 10
