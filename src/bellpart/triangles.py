@@ -9,8 +9,8 @@ Number families, each selected by a ``Family``:
 * ``stirling_d(n, k)`` -- type-D analogue; each row is built in one pass as
   ``S_D(n,k) = S_B(n,k) - n U(n-1,k)``, anew on each read, where
   ``U(m,k) = 2^(m-k) S(m,k)`` walks by its own recurrence.  Every D row,
-  read in order (``rows``, ``verify``) or at random, is ``_d_from`` of B
-  row n and U row n - 1 from those two walks.
+  read in order (``rows``, ``verify``) or at random, is ``_d_from`` of one
+  item of ``_b_and_u_rows``: n, B row n and U row n - 1 from those two walks.
 * ``bell_a / bell_b / bell_d`` -- the corresponding row sums, each the n-th
   term of ``bells(family)``, which ``table bell*`` and ``dobinski`` read too.
   It runs the Bell recurrence X(n+1) = d X(n) + sum_k C(n,k) c^(n-k) X(k),
@@ -28,8 +28,9 @@ takes quadratic time.  Each such row is built in ``_exact_context()``, a
 context of the largest precision that traps ``Inexact`` and ``Rounded``, so a
 cell that would be rounded raises instead; the caller's context is never
 changed.  ``decimal`` is imported by that walk alone, not with the module.
-Random access reads row n through ``_row(family, n)``, which walks from row 0
-on every read and keeps nothing between reads; ``rows(family)`` walks rows
+Random access (``stirling_row``, ``stirling*``) walks from row 0 on every
+read and keeps nothing between reads; a type-D read takes item n of
+``_b_and_u_rows`` and builds that one D row.  ``rows(family)`` walks rows
 0, 1, 2, ... in order.
 Rows, cells and Bell numbers exist for n >= 0 only: a negative n raises
 ValueError, whatever k is.  Every family argument, here and in ``series`` and
@@ -41,9 +42,9 @@ that is not an integer, such as ``2.5`` or ``"3"``, raises TypeError.
 """
 
 from enum import Enum
-from itertools import accumulate, chain, count, islice, repeat, zip_longest
-from operator import add, index, itemgetter, mul, sub
-from typing import Callable, Iterator, NamedTuple, Optional
+from itertools import accumulate, chain, count, islice, repeat, starmap, zip_longest
+from operator import add, index, mul, sub
+from typing import Iterator, NamedTuple, Optional
 
 
 class Family(Enum):
@@ -78,17 +79,18 @@ def _size(value: int, name: str = "n") -> int:
 
 def _walk(row: list, a, b) -> Iterator[list]:
     """``row``, then each next row by ``T(n,k) = T(n-1,k-1) + (a + b k) T(n-1,k)``
-    with 0 outside row n - 1.  The cells, a and b are ints, or all Decimals."""
+    with 0 outside row n - 1.  a and b are ints, and the cells are of ``row``'s
+    type: ints, or Decimals, which an int multiplies as the Decimal of the
+    same value would."""
     step = lambda prev, _: list(map(add, [0, *prev], map(mul, count(a, b), [*prev, 0])))
     return accumulate(repeat(None), step, initial=row)
 
 
-def _weighted_walk(family: Family, row: list, one=1) -> Iterator[list]:
+def _weighted_walk(family: Family, row: list) -> Iterator[list]:
     """``row``, then each next row by ``T(n,k) = T(n-1,k-1) + w(k) T(n-1,k)``:
-    w(k) = k classical, 2k + 1 type B, in multiples of ``one``.  An unknown
-    family raises at the call, before any row is handed out."""
-    a, b = _lookup(_WEIGHTS, family)
-    return _walk(row, a * one, b * one)
+    w(k) = k classical, 2k + 1 type B, an int; the cells are of ``row``'s
+    type.  An unknown family raises at the call, before any row is handed out."""
+    return _walk(row, *_lookup(_WEIGHTS, family))
 
 
 def extend_weighted_rows(rows: list[list[int]], family: Family, n_max: int) -> list[list[int]]:
@@ -116,8 +118,10 @@ def _u_row(row: list[int]) -> list[int]:
 def _d_from(n: int, b_row: list, u_prev: list, one=1) -> list:
     """Type-D row n as a new list, from B row n and U row n - 1 (empty for
     n = 0): cell k < n is S_B(n,k) - n U(n-1,k) = S_B(n,k) - n 2^(n-1-k) S(n-1,k),
-    the last is ``one``.  The cells are ints, or with ``one = Decimal(1)`` Decimals."""
-    row = list(map(sub, b_row, map(mul, repeat(n * one), u_prev)))
+    the last is ``one``, not S_B(n,n), so a wrong B diagonal cell leaves the
+    D row alone.  The cells are ints, or from Decimal rows and
+    ``one = Decimal(1)`` Decimals."""
+    row = list(map(sub, b_row, map(mul, repeat(n), u_prev)))
     row.append(one)
     if min(row) < 0:
         k = next(k for k, value in enumerate(row) if value < 0)
@@ -126,26 +130,16 @@ def _d_from(n: int, b_row: list, u_prev: list, one=1) -> list:
 
 
 def _u_walk(one=1) -> Iterator[list]:
-    """U rows 0, 1, ...: U(m,k) = 2^(m-k) S(m,k) walks by
+    """U rows 0, 1, ... from ``[one]``: U(m,k) = 2^(m-k) S(m,k) walks by
     U(m,k) = U(m-1,k-1) + 2k U(m-1,k)."""
-    return _walk([one], 0 * one, 2 * one)
+    return _walk([one], 0, 2)
 
 
-def _b_and_d_rows(one=1) -> Iterator[tuple[list, list]]:
-    """(B row n, D row n) for n = 0, 1, ...: one B walk, and each D row built
-    from the B row beside it and U row n - 1 of the U walk."""
-    b_rows, u_before = _weighted_walk(Family.TYPE_B, [one], one), chain([[]], _u_walk(one))
-    return map(lambda n, b, u: (b, _d_from(n, b, u, one)), count(), b_rows, u_before)
-
-
-def _row(family: Family, n: int) -> list[int]:
-    """Row n of the family's triangle as a new list, walked from row 0 on each
-    read: type D from B row n and U row n - 1, as ``rows(TYPE_D)`` builds it."""
-    _size(n)
-    if family is Family.TYPE_D:
-        u_prev = next(islice(_u_walk(), n - 1, None)) if n else []
-        return _d_from(n, _row(Family.TYPE_B, n), u_prev)
-    return next(islice(_weighted_walk(family, [1]), n, None))
+def _b_and_u_rows(one=1) -> Iterator[tuple[int, list, list]]:
+    """(n, B row n, U row n - 1) for n = 0, 1, ...: one B walk, and the U walk
+    one row behind it, with an empty U row at n = 0.  Every D row is
+    ``_d_from`` of one of these items."""
+    return zip(count(), _weighted_walk(Family.TYPE_B, [one]), chain([[]], _u_walk(one)))
 
 
 def _cell(family: Family, n: int, k: int) -> int:
@@ -155,7 +149,7 @@ def _cell(family: Family, n: int, k: int) -> int:
     _size(n)
     if not 0 <= index(k) <= n:
         return 0
-    return _row(family, n)[k]
+    return stirling_row(family, n)[k]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -187,9 +181,9 @@ def rows(family: Family, one=1) -> Iterator[list]:
     if (type(one) is not int and type(one) is not decimal.Decimal) or str(one) != "1":
         raise ValueError(f"one must be 1 or Decimal(1), not {one!r}")
     if family is Family.TYPE_D:
-        walk = map(itemgetter(1), _b_and_d_rows(one))
+        walk = starmap(lambda n, b, u: _d_from(n, b, u, one), _b_and_u_rows(one))
     else:
-        walk = _weighted_walk(family, [one], one)
+        walk = _weighted_walk(family, [one])
     return walk if type(one) is int else _exact_rows(walk)
 
 
@@ -306,9 +300,14 @@ def stirling(family: Family, n: int, k: int) -> int:
 def stirling_row(family: Family, n: int) -> list[int]:
     """Row n of the family's triangle, ``[S(n, 0), ..., S(n, n)]``.
 
-    The list is a new one, so callers may change it freely.
+    The list is a new one, walked from row 0 for this read, so callers may
+    change it freely.  Type D builds one D row, from item n of
+    ``_b_and_u_rows``.
     """
-    return _row(family, n)
+    _size(n)
+    if family is Family.TYPE_D:
+        return _d_from(*next(islice(_b_and_u_rows(), n, None)))
+    return next(islice(_weighted_walk(family, [1]), n, None))
 
 
 def bell(family: Family, n: int) -> int:
@@ -372,8 +371,8 @@ def _b_from_classical(n_max: int) -> Iterator[tuple]:
 def _d_from_b(n_max: int) -> Iterator[tuple]:
     # S_D(n,k) = S_B(n,k) - n U(n-1,k) for k < n, then S_B(n,n)
     classical_before = chain([[]], rows(Family.CLASSICAL))
-    for n, (b, d), row in zip(range(n_max + 1), _b_and_d_rows(), classical_before):
-        yield d, [*map(sub, b, map(mul, repeat(n), _u_row(row))), b[n]]
+    for (n, b, u), row in zip(islice(_b_and_u_rows(), n_max + 1), classical_before):
+        yield _d_from(n, b, u), [*map(sub, b, map(mul, repeat(n), _u_row(row))), b[n]]
 
 
 def _b_bell_rec(n_max: int) -> Iterator[tuple]:
@@ -402,8 +401,8 @@ def _d_bell_rec(n_max: int) -> Iterator[tuple]:
 def _zero_block_defect(n_max: int) -> Iterator[tuple]:
     # n W(n-1), the closed form of B(n) - D(n); 0 at n = 0
     w_before = chain([0], _w())
-    for n, (b, d), w in zip(range(n_max + 1), _b_and_d_rows(), w_before):
-        yield sum(b) - sum(d), n * w
+    for (n, b, u), w in zip(islice(_b_and_u_rows(), n_max + 1), w_before):
+        yield sum(b) - sum(_d_from(n, b, u)), n * w
 
 
 def _thm_4_7(n_max: int) -> Iterator[tuple]:
@@ -414,23 +413,20 @@ def _thm_4_7(n_max: int) -> Iterator[tuple]:
         yield _binomial_sum(pascal, w, 0) - w_n, b - w_n
 
 
-class _Identity(NamedTuple):
-    # n_max -> (lhs, rhs) for each n: whole rows (lists) or ints
-    sides: Callable[[int], Iterator[tuple]]
-    # A recurrence for n + 1 is checked for n < n_max; it reports its
-    # values at n + 1 and a failure at the base index n.
-    shift: int = 0
-
-
+# id -> generator of (lhs, rhs) for each n: whole rows (lists) or ints
 _IDENTITIES = {
-    "B_FROM_CLASSICAL": _Identity(_b_from_classical),
-    "D_FROM_B": _Identity(_d_from_b),
-    "B_BELL_REC": _Identity(_b_bell_rec, shift=1),
-    "ODD_WEIGHT_SUM": _Identity(_odd_weight_sum),
-    "D_BELL_REC": _Identity(_d_bell_rec, shift=1),
-    "ZERO_BLOCK_DEFECT": _Identity(_zero_block_defect),
-    "THM_4_7": _Identity(_thm_4_7),
+    "B_FROM_CLASSICAL": _b_from_classical,
+    "D_FROM_B": _d_from_b,
+    "B_BELL_REC": _b_bell_rec,
+    "ODD_WEIGHT_SUM": _odd_weight_sum,
+    "D_BELL_REC": _d_bell_rec,
+    "ZERO_BLOCK_DEFECT": _zero_block_defect,
+    "THM_4_7": _thm_4_7,
 }
+
+# A recurrence for n + 1 is checked for n < n_max; it reports its values at
+# n + 1 and a failure at the base index n.
+_RECURRENCES = {"B_BELL_REC", "D_BELL_REC"}
 
 IDENTITY_IDS = tuple(_IDENTITIES)
 
@@ -452,18 +448,18 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity: {identity_id}")
-    identity = _IDENTITIES[identity_id]
+    shift = identity_id in _RECURRENCES
 
     failure: Optional[tuple[int, Optional[int], Optional[int], Optional[int]]] = None
     values: Optional[list[tuple[int, int]]] = []
-    for n, (lhs, rhs) in enumerate(identity.sides(_size(n_max, "n_max"))):
+    for n, (lhs, rhs) in enumerate(_IDENTITIES[identity_id](_size(n_max, "n_max"))):
         if isinstance(lhs, list):
             values = None
             # a cell that one side lacks reads None, and fails
             cells = enumerate(zip_longest(lhs, rhs))
             failure = next(((n, k, l, r) for k, (l, r) in cells if l != r or l < 0), None)
         else:
-            values.append((n + identity.shift, rhs))
+            values.append((n + shift, rhs))
             if lhs != rhs or lhs < 0:
                 failure = (n, None, lhs, rhs)
         if failure:

@@ -1,11 +1,34 @@
 """Shared fixtures."""
 
+import signal
 from functools import partial
 
 import pytest
 
 from bellpart import triangles
 from bellpart.triangles import Family
+
+# seconds any test may run: a search that never ends, such as an R or J
+# search of dobinski._enclose reached through any route, then fails fast,
+# not at the CI job's timeout
+WALL_BOUND_S = 120
+
+
+@pytest.fixture(autouse=True)
+def wall_bound():
+    """Fail the test with TimeoutError once it runs past ``WALL_BOUND_S``
+    (SIGALRM: POSIX, as CI is)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {WALL_BOUND_S} s wall bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WALL_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -47,6 +47,9 @@ CASES = [
         for pairs in ("", " --pairs 0", " --pairs 2")
     ),
     *(f"dobinski {f} {n} 1/2" for f in ("a", "b", "d") for n in (0, 40)),
+    # widths above 1: a width numerator above 1 moves where R stops
+    "dobinski a 20 3",
+    "dobinski b 24 100",
     # usage errors
     "table stirling-q --rows 3",
     "table bell --rows -1",

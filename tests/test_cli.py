@@ -568,6 +568,8 @@ _ARGV = st.one_of(
 @example(["dobinski", "d", "-1", "-1/2"])
 @example(["enumerate", "d", "007", "--pairs", "-02"])
 @example(["table", "bell", "--rows", "-0", "--format", "json"])
+@example(["--", "table", "bell", "--rows", "2"])
+@example(["table", "bell", "--rows", "2", "--"])
 @settings(max_examples=100, deadline=None)
 def test_exit_code_contract(argv):
     # 0, 1 or 2 and never a traceback; a usage error prints nothing to stdout

@@ -227,9 +227,9 @@ def _short_d_rows(monkeypatch):
 
 def _short_b_from_classical(monkeypatch):
     # the right side of B_FROM_CLASSICAL loses its last cell
-    identity = triangles._IDENTITIES["B_FROM_CLASSICAL"]
-    short = lambda n_max: ((lhs, rhs[:-1]) for lhs, rhs in identity.sides(n_max))
-    monkeypatch.setitem(triangles._IDENTITIES, "B_FROM_CLASSICAL", identity._replace(sides=short))
+    sides = triangles._IDENTITIES["B_FROM_CLASSICAL"]
+    short = lambda n_max: ((lhs, rhs[:-1]) for lhs, rhs in sides(n_max))
+    monkeypatch.setitem(triangles._IDENTITIES, "B_FROM_CLASSICAL", short)
 
 
 SHORT_ROWS = {
