@@ -71,7 +71,7 @@ def cmd_table(args) -> int:
     else:
         # the Bell walk is bound by its arithmetic, which is faster in ints
         for n, value in zip(range(args.rows + 1), triangles.bells(family)):
-            print(f'{{"n":{n},"value":{value}}}' if as_json else f"{n}{sep}{value}")
+            sys.stdout.write(f'{{"n":{n},"value":{value}}}\n' if as_json else f"{n}{sep}{value}\n")
     return 0
 
 
@@ -98,7 +98,9 @@ def cmd_enumerate(args) -> int:
     as_json, count = args.format == "json", 0
     for lines in partitions.line_groups(args.n, Family(args.family), as_json, args.pairs):
         count += len(lines)
-        print("\n".join(lines))
+        # one write a group: "" joins in its last newline, copying no lines
+        lines.append("")
+        sys.stdout.write("\n".join(lines))
     print(f"count {count}")
     return 0
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from bellpart import series, triangles
 from bellpart.cli import _DOBINSKI_FN, _TABLE_FAMILIES, _fast_args, build_parser, main
-from bellpart.triangles import Family, stirling, stirling_b
+from bellpart.triangles import Family, stirling_b
+from conftest import WallBoundExceeded
 
 
 def run(capsys, *argv):
@@ -42,10 +43,9 @@ def test_table_stirling_d_matches_triangle(capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 8
-    # round-trip: re-parse the TSV and compare against the in-memory values
-    for n, line in enumerate(lines):
-        cells = [int(c) for c in line.split("\t")]
-        assert cells == [stirling(Family.TYPE_D, n, k) for k in range(n + 1)]
+    # round-trip: re-parse the TSV and compare against the int rows
+    for line, row in zip(lines, triangles.rows(Family.TYPE_D)):
+        assert [int(c) for c in line.split("\t")] == row
 
 
 def test_table_json_format(capsys):
@@ -491,6 +491,31 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "RuntimeError: egf triangle: broken" in captured.err
+
+
+def test_wall_bound_escapes_main(monkeypatch):
+    # the wall bound is no Exception: main lets it out instead of exiting 3
+    def hung(family, order):
+        raise WallBoundExceeded("egf triangle: hung")
+
+    monkeypatch.setattr(series, "egf_triangle", hung)
+    with pytest.raises(WallBoundExceeded):
+        main(["egf-check", "3"])
+
+
+def test_wall_bound_escapes_hypothesis():
+    # nor does Hypothesis catch it to rerun and shrink: it leaves the
+    # property at its first example
+    examples = []
+
+    @given(st.integers())
+    def hung(i):
+        examples.append(i)
+        raise WallBoundExceeded("property: hung")
+
+    with pytest.raises(WallBoundExceeded):
+        hung()
+    assert len(examples) == 1
 
 
 @pytest.mark.parametrize(
