@@ -7,6 +7,10 @@ Exit codes: 0 success/verified, 1 verification failure, 2 usage error
 underflows; the traceback goes to stderr), 141 stdout closed by its
 reader (as a shell reports a tool ended by SIGPIPE; nothing goes to
 stderr).
+``main(argv)`` returns each of these codes, help's 0 and a usage error's 2
+included, and raises none: argparse's ``SystemExit`` is caught and its code
+returned.  The console script and ``python -m bellpart.cli`` pass the code to
+``sys.exit``.
 Results go to stdout, diagnostics to stderr.
 partitions, series, decimal, fractions and traceback are imported only
 where they are used: decimal by ``table stirling*``, which prints the
@@ -284,7 +288,11 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     if argv is None:
         argv = sys.argv[1:]
-    args = _fast_args(argv) or build_parser().parse_args(argv)
+    try:
+        args = _fast_args(argv) or build_parser().parse_args(argv)
+    except SystemExit as exit:
+        # help (0) or a usage error (2): returned, as every other code is
+        return exit.code
     try:
         code = args.run(args)
         sys.stdout.flush()

@@ -1,12 +1,18 @@
 """Shared fixtures."""
 
+import os
 import signal
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from bellpart import triangles
 from bellpart.triangles import Family
+
+ROOT = Path(__file__).resolve().parents[1]
+# the environment of every fresh interpreter a test starts: bellpart from src/
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 # seconds any test may run: a search that never ends, such as an R or J
 # search of dobinski._enclose reached through any route, then fails fast,

@@ -2,7 +2,7 @@
 
 For each argv of ``CASES`` the record holds the exit code and the length
 and sha256 of the UTF-8 bytes that ``bellpart.cli.main`` writes to stdout,
-run in-process; a usage error exits 2 and writes nothing.
+run in-process by ``run``; a usage error exits 2 and writes nothing.
 ``tests/test_golden.py`` reruns every case against the record.
 
 Run from the repository root, after a deliberate change of output:
@@ -61,15 +61,19 @@ CASES = [
 ]
 
 
+def run(*argv: str) -> tuple[int, str, str]:
+    """``bellpart.cli.main(argv)`` run in-process: its exit code, stdout and
+    stderr.  The one CLI runner of the tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def record(case: str) -> dict:
     """The exit code and stdout length and sha256 of one case."""
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        try:
-            code = main(case.split())
-        except SystemExit as exit:
-            code = exit.code
-    data = out.getvalue().encode()
+    code, out, _ = run(*case.split())
+    data = out.encode()
     return {"exit": code, "len": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 

@@ -1,16 +1,14 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line
 and enforcing its stated tolerance (exact equality) and runtime bound."""
 
-import io
 import math
 import time
-from contextlib import redirect_stdout
 from fractions import Fraction
 
 from bellpart import partitions, triangles
-from bellpart.cli import main
 from bellpart.triangles import Family, bell_a, bell_b, bell_d, rows, stirling2
 
+from make_golden import run
 from test_partitions import GAMMA, RHO, TAU
 from test_triangles import (
     BELL_A,
@@ -20,13 +18,6 @@ from test_triangles import (
     TABLE_CLASSICAL,
     TABLE_D,
 )
-
-
-def run_cli(*argv):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(list(argv))
-    return code, buf.getvalue()
 
 
 def report(criterion, ok, elapsed=None):
@@ -45,11 +36,11 @@ def test_criterion_1_table_reproduction():
     bells = {"bell": BELL_A, "bell-b": BELL_B, "bell-d": BELL_D}
     ok = True
     for family, expected in tables.items():
-        code, out = run_cli("table", family, "--rows", "7")
+        code, out, _ = run("table", family, "--rows", "7")
         got = [[int(c) for c in line.split("\t")] for line in out.splitlines()]
         ok = ok and code == 0 and got == expected
     for family, expected in bells.items():
-        code, out = run_cli("table", family, "--rows", "7")
+        code, out, _ = run("table", family, "--rows", "7")
         got = [int(line.split("\t")[1]) for line in out.splitlines()]
         ok = ok and code == 0 and got == expected
     elapsed = time.perf_counter() - start
@@ -58,7 +49,7 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_identity_suites():
     start = time.perf_counter()
-    code, out = run_cli("verify", "all", "--max-n", "25")
+    code, out, _ = run("verify", "all", "--max-n", "25")
     ok = code == 0 and out.count("PASS") == 7
     # the worked values from the odd-weight identity
     rep = triangles.verify_identity("ODD_WEIGHT_SUM", 3)
@@ -70,7 +61,7 @@ def test_criterion_2_identity_suites():
 
 def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
-    code, out = run_cli("oracle-check", "8")
+    code, out, _ = run("oracle-check", "8")
     ok = code == 0 and out.splitlines()[-1] == "oracle-check: PASS"
     elapsed = time.perf_counter() - start
     report("3 oracle-equivalence", ok and elapsed < 60.0, elapsed)
@@ -101,7 +92,7 @@ def test_criterion_4_recurrence_expansion():
 
 def test_criterion_5_egf_cross_check():
     start = time.perf_counter()
-    code, out = run_cli("egf-check", "25")
+    code, out, _ = run("egf-check", "25")
     ok = code == 0 and out.splitlines()[-1] == "egf-check: PASS"
     elapsed = time.perf_counter() - start
     report("5 egf-cross-check", ok and elapsed < 5.0, elapsed)
@@ -113,7 +104,7 @@ def test_criterion_6_dobinski_recovery():
     ok = True
     for family, fn in exact.items():
         for n in range(26):
-            code, out = run_cli("dobinski", family, str(n), "1/2")
+            code, out, _ = run("dobinski", family, str(n), "1/2")
             lines = out.splitlines()
             lo = Fraction(lines[0].split()[1])
             hi = Fraction(lines[1].split()[1])
@@ -155,8 +146,8 @@ def test_criterion_8_example_classification():
     rho = "0,±2,±3,±5 | 1/-1 | 4/-4"
     tau = "0 | 1,-2/-1,2 | 3,5/-3,-5 | 4/-4"
     gamma = "0,±5 | 1,3,-4/-1,-3,4 | 2/-2"
-    code_d, out_d = run_cli("enumerate", "d", "5")
-    code_b, out_b = run_cli("enumerate", "b", "5")
+    code_d, out_d, _ = run("enumerate", "d", "5")
+    code_b, out_b, _ = run("enumerate", "b", "5")
     type_d, type_b = set(out_d.splitlines()), set(out_b.splitlines())
     examples = (RHO, TAU, GAMMA)
     ok = (

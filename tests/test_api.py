@@ -3,12 +3,10 @@ name is reached from the submodule that defines it, as the README lists it.
 Also the record classes."""
 
 import importlib
-import os
 import re
 import subprocess
 import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
@@ -16,9 +14,7 @@ import bellpart
 from bellpart.dobinski import Interval
 from bellpart.partitions import ClassicalSetPartition, SignedSetPartition
 from bellpart.triangles import IdentityReport
-
-ROOT = Path(__file__).resolve().parents[1]
-ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+from conftest import ENV, ROOT
 
 SUBMODULES = ("cli", "dobinski", "partitions", "series", "triangles")
 

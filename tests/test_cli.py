@@ -1,14 +1,10 @@
 """CLI surface: output formats, exit codes, round-trips."""
 
 import decimal
-import io
 import json
-import os
 import subprocess
 import sys
 from collections import Counter
-from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,29 +13,24 @@ from hypothesis import strategies as st
 from bellpart import series, triangles
 from bellpart.cli import _DOBINSKI_FN, _TABLE_FAMILIES, _fast_args, build_parser, main
 from bellpart.triangles import Family, stirling_b
-from conftest import WallBoundExceeded
+from conftest import ENV, WallBoundExceeded
+from make_golden import run
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
-
-
-def test_table_bell_row0(capsys):
-    code, out = run(capsys, "table", "bell", "--rows", "0")
+def test_table_bell_row0():
+    code, out, _ = run("table", "bell", "--rows", "0")
     assert code == 0
     assert out == "0\t1\n"
 
 
-def test_table_bell_b_last_line(capsys):
-    code, out = run(capsys, "table", "bell-b", "--rows", "8")
+def test_table_bell_b_last_line():
+    code, out, _ = run("table", "bell-b", "--rows", "8")
     assert code == 0
     assert out.splitlines()[-1] == "8\t219920"
 
 
-def test_table_stirling_d_matches_triangle(capsys):
-    code, out = run(capsys, "table", "stirling-d", "--rows", "7")
+def test_table_stirling_d_matches_triangle():
+    code, out, _ = run("table", "stirling-d", "--rows", "7")
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 8
@@ -48,8 +39,8 @@ def test_table_stirling_d_matches_triangle(capsys):
         assert [int(c) for c in line.split("\t")] == row
 
 
-def test_table_json_format(capsys):
-    code, out = run(capsys, "table", "stirling-b", "--rows", "3", "--format", "json")
+def test_table_json_format():
+    code, out, _ = run("table", "stirling-b", "--rows", "3", "--format", "json")
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[3] == {"n": 3, "cells": [1, 13, 9, 1]}
@@ -71,32 +62,31 @@ def _int_table(family, n_max, fmt):
     "name, family",
     [("stirling", Family.CLASSICAL), ("stirling-b", Family.TYPE_B), ("stirling-d", Family.TYPE_D)],
 )
-def test_decimal_table_bytes_equal_int_rows(capsys, name, family, fmt):
-    code, out = run(capsys, "table", name, "--rows", "120", "--format", fmt)
+def test_decimal_table_bytes_equal_int_rows(name, family, fmt):
+    code, out, _ = run("table", name, "--rows", "120", "--format", fmt)
     assert code == 0
     assert out == _int_table(family, 120, fmt)
 
 
-def test_table_cell_past_precision_exits_3(capsys, monkeypatch):
+def test_table_cell_past_precision_exits_3(monkeypatch):
     # S_B(40, k) has up to 44 digits; a 20-digit context must raise, not round
     small = triangles._exact_context()
     small.prec = 20
     monkeypatch.setattr(triangles, "_exact_context", lambda: small)
-    assert main(["table", "stirling-b", "--rows", "40"]) == 3
-    captured = capsys.readouterr()
-    assert "decimal.Inexact" in captured.err or "decimal.Rounded" in captured.err
+    code, out, err = run("table", "stirling-b", "--rows", "40")
+    assert code == 3
+    assert "decimal.Inexact" in err or "decimal.Rounded" in err
     # rows up to the first that needs more digits were printed exactly
-    printed = captured.out.splitlines()
+    printed = out.splitlines()
     assert 0 < len(printed) < 41
     assert printed == _int_table(Family.TYPE_B, len(printed) - 1, "tsv").splitlines()
 
 
-def test_table_leaves_decimal_context_unchanged(capsys):
+def test_table_leaves_decimal_context_unchanged():
     before = decimal.getcontext()
     state = (before.prec, before.Emax, before.Emin, dict(before.traps), dict(before.flags))
     for name in ("stirling-d", "bell-d"):
-        code, _ = run(capsys, "table", name, "--rows", "30")
-        assert code == 0
+        assert run("table", name, "--rows", "30")[0] == 0
     # each row is built in the exact context, and the caller's is back in
     # place while a row is held
     walk = triangles.rows(Family.TYPE_B, decimal.Decimal(1))
@@ -109,18 +99,18 @@ def test_table_leaves_decimal_context_unchanged(capsys):
 
 
 @pytest.mark.parametrize("name, family", [("stirling-b", Family.TYPE_B), ("stirling-d", Family.TYPE_D)])
-def test_table_shows_wrong_b_cell(capsys, wrong_cell, name, family):
+def test_table_shows_wrong_b_cell(wrong_cell, name, family):
     # S_B(5, 2) read as 331, not 330; type D row 5 is built from B row 5, so
     # S_D(5, 2) moves by one too, and no other cell moves
     expected = [line.split("\t") for line in _int_table(family, 6, "tsv").splitlines()]
     expected[5][2] = str(int(expected[5][2]) + 1)
     wrong_cell(Family.TYPE_B, 5, 2, 331)
-    code, out = run(capsys, "table", name, "--rows", "6")
+    code, out, _ = run("table", name, "--rows", "6")
     assert code == 0
     assert [line.split("\t") for line in out.splitlines()] == expected
 
 
-def test_commands_reading_rows_in_order_leave_caches_empty(capsys):
+def test_commands_reading_rows_in_order_leave_caches_empty():
     # random access keeps no rows, so no command, and no random read after
     # them, writes to triangles' module state: every name stays bound to the
     # object it had, and the names perfbench/traced_cli.py sums stay empty
@@ -134,8 +124,7 @@ def test_commands_reading_rows_in_order_leave_caches_empty(capsys):
         ["egf-check", "12"],
         ["verify", "all", "--max-n", "20"],
     ):
-        code, _ = run(capsys, *argv)
-        assert code == 0
+        assert run(*argv)[0] == 0
     for family in Family:
         triangles.stirling_row(family, 40)
     after = vars(triangles)
@@ -145,20 +134,16 @@ def test_commands_reading_rows_in_order_leave_caches_empty(capsys):
     assert triangles._rows_b == ()
 
 
-def test_table_unknown_family_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "stirling-q", "--rows", "3"])
-    assert exc.value.code == 2
+def test_table_unknown_family_usage_error():
+    assert run("table", "stirling-q", "--rows", "3")[:2] == (2, "")
 
 
-def test_table_negative_rows_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "bell", "--rows", "-1"])
-    assert exc.value.code == 2
+def test_table_negative_rows_usage_error():
+    assert run("table", "bell", "--rows", "-1")[:2] == (2, "")
 
 
-def test_verify_all(capsys):
-    code, out = run(capsys, "verify", "all", "--max-n", "10")
+def test_verify_all():
+    code, out, _ = run("verify", "all", "--max-n", "10")
     assert code == 0
     assert out.count("PASS") == 7
 
@@ -199,76 +184,68 @@ WALKED_ROWS = {
 
 
 @pytest.mark.parametrize("ident", triangles.IDENTITY_IDS)
-def test_verify_walks_only_rows_read(capsys, monkeypatch, ident):
+def test_verify_walks_only_rows_read(monkeypatch, ident):
     # each identity walks only the families it reads, each row once
     walked = _count_walked_rows(monkeypatch)
-    code, out = run(capsys, "verify", ident, "--max-n", "20")
+    code, out, _ = run("verify", ident, "--max-n", "20")
     assert code == 0
     assert out.startswith(f"{ident}: PASS")
     assert walked == WALKED_ROWS[ident]
 
 
-def test_verify_single_shows_values(capsys):
-    code, out = run(capsys, "verify", "ODD_WEIGHT_SUM", "--max-n", "3")
+def test_verify_single_shows_values():
+    code, out, _ = run("verify", "ODD_WEIGHT_SUM", "--max-n", "3")
     assert code == 0
     assert "n=2 lhs=rhs=18" in out
     assert "n=3 lhs=rhs=92" in out
 
 
-def test_verify_d_bell_rec_reconstruction(capsys):
-    code, out = run(capsys, "verify", "D_BELL_REC", "--max-n", "5")
+def test_verify_d_bell_rec_reconstruction():
+    code, out, _ = run("verify", "D_BELL_REC", "--max-n", "5")
     assert code == 0
     assert "n=5 lhs=rhs=403" in out
 
 
-def test_verify_unknown_id_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "NOT_AN_IDENTITY", "--max-n", "3"])
-    assert exc.value.code == 2
+def test_verify_unknown_id_usage_error():
+    assert run("verify", "NOT_AN_IDENTITY", "--max-n", "3")[:2] == (2, "")
 
 
-def test_verify_negative_max_n_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "all", "--max-n", "-3"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+def test_verify_negative_max_n_usage_error():
+    assert run("verify", "all", "--max-n", "-3")[:2] == (2, "")
 
 
-def test_enumerate_d1(capsys):
-    code, out = run(capsys, "enumerate", "d", "1")
+def test_enumerate_d1():
+    code, out, _ = run("enumerate", "d", "1")
     assert code == 0
     assert out == "0 | 1/-1\ncount 1\n"
 
 
-def test_enumerate_d2(capsys):
-    code, out = run(capsys, "enumerate", "d", "2")
+def test_enumerate_d2():
+    code, out, _ = run("enumerate", "d", "2")
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "count 4"
     assert len(lines) == 5
 
 
-def test_enumerate_pairs_filter(capsys):
-    code, out = run(capsys, "enumerate", "b", "4", "--pairs", "2")
+def test_enumerate_pairs_filter():
+    code, out, _ = run("enumerate", "b", "4", "--pairs", "2")
     assert code == 0
     assert out.splitlines()[-1] == f"count {stirling_b(4, 2)}"
 
 
-def test_enumerate_pairs_beyond_n(capsys):
-    code, out = run(capsys, "enumerate", "b", "2", "--pairs", "5")
+def test_enumerate_pairs_beyond_n():
+    code, out, _ = run("enumerate", "b", "2", "--pairs", "5")
     assert code == 0
     assert out == "count 0\n"
 
 
-def test_enumerate_negative_pairs_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "b", "3", "--pairs", "-1"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+def test_enumerate_negative_pairs_usage_error():
+    assert run("enumerate", "b", "3", "--pairs", "-1")[:2] == (2, "")
 
 
-def test_enumerate_json_records(capsys):
-    code, out = run(capsys, "enumerate", "d", "2", "--format", "json")
+def test_enumerate_json_records():
+    code, out, _ = run("enumerate", "d", "2", "--format", "json")
     assert code == 0
     lines = out.splitlines()
     records = [json.loads(line) for line in lines[:-1]]
@@ -276,37 +253,35 @@ def test_enumerate_json_records(capsys):
     assert all(rec["n"] == 2 for rec in records)
 
 
-def test_enumerate_classical(capsys):
-    code, out = run(capsys, "enumerate", "classical", "3")
+def test_enumerate_classical():
+    code, out, _ = run("enumerate", "classical", "3")
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "count 5"
     assert "1,2,3" in lines
 
 
-def test_enumerate_deterministic(capsys):
-    _, first = run(capsys, "enumerate", "b", "3")
-    _, second = run(capsys, "enumerate", "b", "3")
-    assert first == second
+def test_enumerate_deterministic():
+    assert run("enumerate", "b", "3") == run("enumerate", "b", "3")
 
 
-def test_oracle_check(capsys):
-    code, out = run(capsys, "oracle-check", "4")
+def test_oracle_check():
+    code, out, _ = run("oracle-check", "4")
     assert code == 0
     assert out.splitlines()[-1] == "oracle-check: PASS"
 
 
-def test_oracle_check_0_b_row(capsys, wrong_cell):
+def test_oracle_check_0_b_row(wrong_cell):
     # B row 0 read as [2]: the walk finds the one signed partition of <0>,
     # and only the family whose row is wrong is reported
     wrong_cell(Family.TYPE_B, 0, 0, 2)
-    code, out = run(capsys, "oracle-check", "0")
+    code, out, _ = run("oracle-check", "0")
     assert code == 1
     assert out.splitlines() == ["n=0 family=b: MISMATCH [1] != [2]", "oracle-check: FAIL"]
 
 
-def test_oracle_check_9(capsys):
-    code, out = run(capsys, "oracle-check", "9")
+def test_oracle_check_9():
+    code, out, _ = run("oracle-check", "9")
     assert code == 0
     assert out.splitlines()[-2:] == [
         "n=9 ok: A=21147 B=1832224 D=1149079",
@@ -314,8 +289,8 @@ def test_oracle_check_9(capsys):
     ]
 
 
-def test_dobinski_ok(capsys):
-    code, out = run(capsys, "dobinski", "d", "7", "1/2")
+def test_dobinski_ok():
+    code, out, _ = run("dobinski", "d", "7", "1/2")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("lo ")
@@ -324,14 +299,14 @@ def test_dobinski_ok(capsys):
     assert lines[-1] == "OK"
 
 
-def test_dobinski_a0(capsys):
-    code, out = run(capsys, "dobinski", "a", "0", "1/2")
+def test_dobinski_a0():
+    code, out, _ = run("dobinski", "a", "0", "1/2")
     assert code == 0
     assert "rounded 1" in out
 
 
-def test_dobinski_b8(capsys):
-    code, out = run(capsys, "dobinski", "b", "8", "1/2")
+def test_dobinski_b8():
+    code, out, _ = run("dobinski", "b", "8", "1/2")
     assert code == 0
     assert "rounded 219920" in out
 
@@ -350,9 +325,9 @@ def default_int_str_cap():
         sys.set_int_max_str_digits(old)
 
 
-def test_dobinski_prints_past_int_str_cap(capsys, default_int_str_cap):
+def test_dobinski_prints_past_int_str_cap(default_int_str_cap):
     # the numerator of the lower endpoint at n = 650 has more than 4,300 digits
-    code, out = run(capsys, "dobinski", "b", "650", "1/2")
+    code, out, _ = run("dobinski", "b", "650", "1/2")
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "OK"
@@ -360,24 +335,19 @@ def test_dobinski_prints_past_int_str_cap(capsys, default_int_str_cap):
     assert len(lines[0]) > 4300 and len(lo.split("/")[0]) > 4300
 
 
-def test_dobinski_bad_width(capsys):
+def test_dobinski_bad_width():
     for bad in ("zero/half", "0", "-1/2", "1/0"):
-        with pytest.raises(SystemExit) as exc:
-            main(["dobinski", "a", "3", bad])
-        assert exc.value.code == 2
+        assert run("dobinski", "a", "3", bad)[:2] == (2, ""), bad
 
 
 @pytest.mark.parametrize("family", ["a", "b", "d"])
 @pytest.mark.parametrize("n", ["-1", "-2"])
-def test_dobinski_negative_n_usage_error(capsys, family, n):
-    with pytest.raises(SystemExit) as exc:
-        main(["dobinski", family, n, "1/2"])
-    assert exc.value.code == 2
+def test_dobinski_negative_n_usage_error(family, n):
+    assert run("dobinski", family, n, "1/2")[:2] == (2, "")
 
 
 def test_closed_stdout_exits_141_quietly():
     # a reader that stops early, like `| head -c 100`, is not a crash
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     for args in (
         ("table", "stirling-b", "--rows", "3000"),
         # the partition walk holds O(n^2) block references at most, so
@@ -386,7 +356,7 @@ def test_closed_stdout_exits_141_quietly():
     ):
         argv = [sys.executable, "-m", "bellpart.cli", *args]
         with subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV
         ) as proc:
             assert len(proc.stdout.read(100)) == 100
             proc.stdout.close()
@@ -396,19 +366,19 @@ def test_closed_stdout_exits_141_quietly():
         assert stderr == b"", args
 
 
-def test_egf_check(capsys):
-    code, out = run(capsys, "egf-check", "7")
+def test_egf_check():
+    code, out, _ = run("egf-check", "7")
     assert code == 0
     assert "1,1,4,15,72,403,2546,17867" in out
     assert out.splitlines()[-1] == "egf-check: PASS"
 
 
-def test_egf_check_order0(capsys):
-    code, out = run(capsys, "egf-check", "0")
+def test_egf_check_order0():
+    code, out, _ = run("egf-check", "0")
     assert code == 0
 
 
-def test_egf_check_bell_mismatch(capsys, monkeypatch):
+def test_egf_check_bell_mismatch(monkeypatch):
     real = series.egf_triangle
 
     def wrong_d(family, order):
@@ -418,7 +388,7 @@ def test_egf_check_bell_mismatch(capsys, monkeypatch):
         return rows
 
     monkeypatch.setattr(series, "egf_triangle", wrong_d)
-    code, out = run(capsys, "egf-check", "3")
+    code, out, _ = run("egf-check", "3")
     assert code == 1
     assert out.splitlines() == [
         "bell-classical: 1,1,2,5 OK",
@@ -429,7 +399,7 @@ def test_egf_check_bell_mismatch(capsys, monkeypatch):
     ]
 
 
-def test_egf_check_column_mismatch(capsys, monkeypatch):
+def test_egf_check_column_mismatch(monkeypatch):
     real = series.egf_triangle
 
     def wrong_cells(family, order):
@@ -441,7 +411,7 @@ def test_egf_check_column_mismatch(capsys, monkeypatch):
         return rows
 
     monkeypatch.setattr(series, "egf_triangle", wrong_cells)
-    code, out = run(capsys, "egf-check", "3")
+    code, out, _ = run("egf-check", "3")
     assert code == 1
     assert out.splitlines()[2:] == [
         "bell-d: 1,1,4,15 OK",
@@ -450,7 +420,7 @@ def test_egf_check_column_mismatch(capsys, monkeypatch):
     ]
 
 
-def test_egf_check_catches_cells_with_right_row_sum(capsys, monkeypatch):
+def test_egf_check_catches_cells_with_right_row_sum(monkeypatch):
     # classical row 4 is [0, 1, 7, 6, 1]; swapping two cells keeps its sum,
     # and type D reads no classical row: it walks U(n,k) = 2^(n-k) S(n,k)
     real = triangles.rows
@@ -462,7 +432,7 @@ def test_egf_check_catches_cells_with_right_row_sum(capsys, monkeypatch):
         return walk
 
     monkeypatch.setattr(triangles, "rows", swapped)
-    code, out = run(capsys, "egf-check", "4")
+    code, out, _ = run("egf-check", "4")
     assert code == 1
     assert out.splitlines() == [
         "bell-classical: 1,1,2,5,15 OK",
@@ -473,24 +443,23 @@ def test_egf_check_catches_cells_with_right_row_sum(capsys, monkeypatch):
     ]
 
 
-def test_d_underflow_exits_3(capsys, wrong_cell):
+def test_d_underflow_exits_3(wrong_cell):
     # U(4,1) read as 10^6, not 8, in the Decimal walk that table prints
     wrong_cell("U", 4, 1, 10**6)
-    assert main(["table", "stirling-d", "--rows", "5"]) == 3
-    captured = capsys.readouterr()
-    assert captured.err.splitlines()[-1] == "AssertionError: stirling_d underflow at (n=5, k=1)"
-    assert captured.out == _int_table(Family.TYPE_D, 4, "tsv")
+    code, out, err = run("table", "stirling-d", "--rows", "5")
+    assert code == 3
+    assert err.splitlines()[-1] == "AssertionError: stirling_d underflow at (n=5, k=1)"
+    assert out == _int_table(Family.TYPE_D, 4, "tsv")
 
 
-def test_internal_error_exits_3(capsys, monkeypatch):
+def test_internal_error_exits_3(monkeypatch):
     def broken(family, order):
         raise RuntimeError("egf triangle: broken")
 
     monkeypatch.setattr(series, "egf_triangle", broken)
-    assert main(["egf-check", "3"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "RuntimeError: egf triangle: broken" in captured.err
+    code, out, err = run("egf-check", "3")
+    assert (code, out) == (3, "")
+    assert "RuntimeError: egf triangle: broken" in err
 
 
 def test_wall_bound_escapes_main(monkeypatch):
@@ -500,7 +469,7 @@ def test_wall_bound_escapes_main(monkeypatch):
 
     monkeypatch.setattr(series, "egf_triangle", hung)
     with pytest.raises(WallBoundExceeded):
-        main(["egf-check", "3"])
+        run("egf-check", "3")
 
 
 def test_wall_bound_escapes_hypothesis():
@@ -525,10 +494,10 @@ def test_wall_bound_escapes_hypothesis():
         ("B_BELL_REC", (3, 1, 14), "B_BELL_REC: FAIL at n=2: lhs=25 rhs=24"),
     ],
 )
-def test_verify_failure_line_and_exit_code(capsys, wrong_cell, ident, cell, line):
+def test_verify_failure_line_and_exit_code(wrong_cell, ident, cell, line):
     # B cell (n, k) walked wrong; every later B row is still the true one
     wrong_cell(Family.TYPE_B, *cell)
-    code, out = run(capsys, "verify", ident, "--max-n", "5")
+    code, out, _ = run("verify", ident, "--max-n", "5")
     assert code == 1
     assert out.splitlines()[-1] == line
 
@@ -595,19 +564,16 @@ _ARGV = st.one_of(
 @example(["table", "bell", "--rows", "-0", "--format", "json"])
 @example(["--", "table", "bell", "--rows", "2"])
 @example(["table", "bell", "--rows", "2", "--"])
+@example(["--help"])
+@example(["table", "--help"])
 @settings(max_examples=100, deadline=None)
 def test_exit_code_contract(argv):
     # 0, 1 or 2 and never a traceback; a usage error prints nothing to stdout
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit:
-            code = exit.code
+    code, out, err = run(*argv)
     assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
     if code == 2:
-        assert out.getvalue() == "", argv
+        assert out == "", argv
 
 
 # Tokens off the plain form, or spellings of a value that int() or Fraction()

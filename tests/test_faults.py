@@ -1,9 +1,9 @@
 """Which checks see which injected fault.
 
 Every fault runs against one table of CLI checks, each run in-process
-through ``cli.main``, and pins the exact set of checks that exit 1: a change
-that blinds a check fails here, and one that adds detection must update the
-table on purpose.  Every fault must fail at least one check.
+through ``make_golden.run``, and pins the exact set of checks that exit 1: a
+change that blinds a check fails here, and one that adds detection must
+update the table on purpose.  Every fault must fail at least one check.
 
 The row faults are wrong cells of the recurrence rows, injected by the
 ``wrong_cell`` fixture.  Every other route is compared with these rows, so
@@ -31,9 +31,9 @@ from fractions import Fraction
 import pytest
 
 from bellpart import dobinski, partitions, series, triangles
-from bellpart.cli import main
 from bellpart.triangles import IDENTITY_IDS, Family, verify_identity
 
+from make_golden import run
 from test_properties import d_row_rec_failure, explicit_formula_failure, touchard_failure
 
 CHECKS = {
@@ -47,9 +47,8 @@ CHECKS = {
 ROW_CHECKS = {"verify", "oracle-check", "egf-check"}
 
 
-def _failing_checks(capsys) -> set[str]:
-    codes = {name: main(argv) for name, argv in CHECKS.items()}
-    capsys.readouterr()
+def _failing_checks() -> set[str]:
+    codes = {name: run(*argv)[0] for name, argv in CHECKS.items()}
     assert set(codes.values()) <= {0, 1}
     return {name for name, code in codes.items() if code == 1}
 
@@ -84,13 +83,13 @@ ROW_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", ROW_FAULTS)
-def test_fault_detection(capsys, wrong_cell, fault):
+def test_fault_detection(wrong_cell, fault):
     cells, identities, checks = ROW_FAULTS[fault]
     assert len(checks) >= 2, "every row fault must fail at least two checks"
     for cell in cells:
         wrong_cell(*cell)
     assert {ident for ident in IDENTITY_IDS if not verify_identity(ident, 6).status} == identities
-    assert _failing_checks(capsys) == checks
+    assert _failing_checks() == checks
 
 
 def _one_more(family):
@@ -124,7 +123,7 @@ COUNT_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", COUNT_FAULTS)
-def test_count_fault_detection(capsys, monkeypatch, fault):
+def test_count_fault_detection(monkeypatch, fault):
     change, mismatch = COUNT_FAULTS[fault]
     count_one_pass = partitions.count_one_pass
 
@@ -132,12 +131,10 @@ def test_count_fault_detection(capsys, monkeypatch, fault):
         return change(count_one_pass(n)) if n == 5 else count_one_pass(n)
 
     monkeypatch.setattr(partitions, "count_one_pass", wrong_count)
-    assert main(["oracle-check", "6"]) == 1
-    assert mismatch in capsys.readouterr().out.splitlines()
+    code, out, _ = run("oracle-check", "6")
+    assert code == 1 and mismatch in out.splitlines()
     # blind on purpose: neither check enumerates partitions
-    assert main(["verify", "all", "--max-n", "6"]) == 0
-    assert main(["egf-check", "6"]) == 0
-    capsys.readouterr()
+    assert run("verify", "all", "--max-n", "6")[0] == run("egf-check", "6")[0] == 0
 
 
 def _wrong_bell(monkeypatch, at=5):
@@ -199,17 +196,18 @@ SEAM_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", SEAM_FAULTS)
-def test_seam_fault_detection(capsys, monkeypatch, fault):
+def test_seam_fault_detection(monkeypatch, fault):
     inject, expected = SEAM_FAULTS[fault]
     assert expected, "every fault must fail at least one check"
     inject(monkeypatch)
-    assert _failing_checks(capsys) == expected
+    assert _failing_checks() == expected
 
 
-def test_bell_fault_egf_lines(capsys, monkeypatch):
+def test_bell_fault_egf_lines(monkeypatch):
     _wrong_bell(monkeypatch)
-    assert main(["egf-check", "6"]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    code, out, _ = run("egf-check", "6")
+    assert code == 1
+    lines = out.splitlines()
     verdicts = {line.split(":")[0]: line.split()[-1] for line in lines}
     assert verdicts == {
         "bell-classical": "OK",
@@ -239,14 +237,14 @@ SHORT_ROWS = {
 
 
 @pytest.mark.parametrize("ident", SHORT_ROWS)
-def test_short_row_fails(capsys, monkeypatch, ident):
+def test_short_row_fails(monkeypatch, ident):
     # a row identity compares every cell: one that a side lacks reads None
     inject, failure = SHORT_ROWS[ident]
     inject(monkeypatch)
     assert verify_identity(ident, 4).first_failure == failure
-    assert main(["verify", ident, "--max-n", "4"]) == 1
     _, _, lhs, rhs = failure
-    assert capsys.readouterr().out == f"{ident}: FAIL at n=0 k=0: lhs={lhs} rhs={rhs}\n"
+    line = f"{ident}: FAIL at n=0 k=0: lhs={lhs} rhs={rhs}\n"
+    assert run("verify", ident, "--max-n", "4")[:2] == (1, line)
 
 
 def test_explicit_formula_sees_wrong_numerator(monkeypatch):

@@ -12,10 +12,15 @@ from make_golden import CASES, GOLDEN, record
 _GOLDEN = json.loads(GOLDEN.read_text())
 
 
+def test_golden_keys_are_cases():
+    # a key left by a removed case, a missing one or a reordered record fails
+    # here, by name; rerun tests/make_golden.py after a deliberate change
+    assert list(_GOLDEN) == CASES
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_cli_matches_golden(case):
-    want = _GOLDEN.get(case)
-    assert want is not None, f"{case!r} is not in {GOLDEN.name}; rerun tests/make_golden.py"
+    want = _GOLDEN[case]
     got = record(case)
     assert got == want, (
         f"{case!r}: exit {got['exit']} len {got['len']} sha256 {got['sha256']}, "

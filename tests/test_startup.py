@@ -7,14 +7,12 @@ stderr.  The modules that a bare interpreter loads are subtracted, so that a
 site hook cannot fail the test.
 """
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+from conftest import ENV
 
 REPORT_MODULES = "print(' '.join(sys.modules), file=sys.stderr)"
 
@@ -98,9 +96,11 @@ def test_subcommand_loads_only_what_it_runs(name, bare_modules):
     ],
 )
 def test_help_and_usage_errors_import_argparse_on_demand(argv, code):
-    # argparse is imported only by build_parser and _arg, which run on these
+    # argparse is imported only by build_parser and _arg, which run on these;
+    # main returns their codes too, so the child reports its modules
     proc = _child(CHILD, *argv)
     assert proc.returncode == code
+    assert "argparse" in proc.stderr.splitlines()[-1].split()
     if code == 0:
         assert proc.stdout.startswith("usage: bellpart")
     else:

@@ -9,9 +9,8 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ENV, ROOT
 
 # every layer that traced_cli.install() wraps, whether the call runs it or not
 LAYERS = {
@@ -38,7 +37,7 @@ def test_traced_cli_wraps_every_layer():
              "verify", "all", "--max-n", "3"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            env=ENV,
             pass_fds=(write_fd,),
             timeout=60,
         )
