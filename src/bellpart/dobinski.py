@@ -107,25 +107,38 @@ def _enclose(num, tail_num, q: int, n: int, width_target) -> Interval:
     For r >= max(n, 7) consecutive terms of ``tail_num`` decay by at least
     a factor 2, so the tail after R is within [0, T] with
     T = 2 * tail_num(n, R+1) / (q^(R+1) (R+1)!).  ``tail_num`` must
-    dominate ``num`` termwise.
+    dominate ``num`` termwise.  The searches for R and J each stop at a
+    bound computed once, with an AssertionError, should that decay fail.
     """
     from fractions import Fraction
 
     if index(n) < 0:
         raise ValueError("n must be >= 0")
     width = _width(width_target)
-    # R is the first r >= max(n, 7) with T <= width / 2
-    for r, s, den in _partial_sums(partial(num, n), q):
+    # R is the first r >= r0 = max(n, 7) with T <= width / 2.  From r0 on T
+    # at least halves each step, so R - r0 is at most the bit length of
+    # floor(T(r0) / (width / 2)); past that many steps the decay has failed
+    r0 = max(n, 7)
+    for steps, (r, s, den) in enumerate(islice(_partial_sums(partial(num, n), q), r0, None)):
         tail, tail_den = 2 * tail_num(n, r + 1), den * q * (r + 1)
-        if r >= max(n, 7) and 2 * tail * width.denominator <= width.numerator * tail_den:
+        if 2 * tail * width.denominator <= width.numerator * tail_den:
             break
+        if not steps:
+            halvings = (2 * tail * width.denominator // (width.numerator * tail_den)).bit_length()
+        if steps >= halvings:
+            raise AssertionError(f"R search past its bound {r0 + halvings} at (n={n}, width={width})")
     upper = Fraction(s * q * (r + 1) + tail, tail_den)  # P + T
-    # J is the least J >= 2 with (P + T) * c^J / J! <= width / 2, c = 1/q;
-    # scale = q^J J! = J! / c^J
-    terms, scale, need = 2, 2 * q * q, 2 * upper / width
-    while scale < need:
-        terms += 1
-        scale *= q * terms
+    # J is the least J >= 2 with (P + T) * c^J / J! <= width / 2, c = 1/q,
+    # that is with scale = q^J J! = J! / c^J >= need.  scale starts at 2 q^2
+    # and grows by q J >= 3 a step, so J <= j_cap = 2 + bit_length(floor(need) + 1)
+    scale, need = 2 * q * q, 2 * upper / width
+    j_cap = 2 + (int(need) + 1).bit_length()
+    for terms in range(2, j_cap + 1):
+        if scale >= need:
+            break
+        scale *= q * (terms + 1)
+    else:
+        raise AssertionError(f"J search past its bound {j_cap} at (n={n}, width={width})")
     e = exp_neg_bounds(Fraction(1, q), terms)
     # Every factor is nonnegative, so the product is [P e.lo, (P + T) e.hi].
     # With e.hi <= 1 its width P (e.hi - e.lo) + T e.hi is at most

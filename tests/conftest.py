@@ -2,6 +2,8 @@
 
 import os
 import signal
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -13,6 +15,16 @@ from bellpart.triangles import Family
 ROOT = Path(__file__).resolve().parents[1]
 # the environment of every fresh interpreter a test starts: bellpart from src/
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code argv...`` in a fresh interpreter under ``ENV``, with
+    its stdout and stderr as text.  The one fresh-interpreter runner of the
+    tests, as ``make_golden.run`` is the one in-process runner."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=ENV, timeout=60
+    )
+
 
 # seconds any test may run: a search that never ends, such as an R or J
 # search of dobinski._enclose reached through any route, then fails fast,

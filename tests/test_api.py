@@ -4,8 +4,6 @@ Also the record classes."""
 
 import importlib
 import re
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +12,7 @@ import bellpart
 from bellpart.dobinski import Interval
 from bellpart.partitions import ClassicalSetPartition, SignedSetPartition
 from bellpart.triangles import IdentityReport
-from conftest import ENV, ROOT
+from conftest import ROOT, run_fresh
 
 SUBMODULES = ("cli", "dobinski", "partitions", "series", "triangles")
 
@@ -59,15 +57,8 @@ README_LISTS = dict(
 )
 
 
-def _run_fresh(code: str) -> None:
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_bare_import_loads_no_submodule_and_resolves_them():
-    _run_fresh(
+    proc = run_fresh(
         "import sys, bellpart\n"
         "assert not [m for m in sys.modules if m.startswith('bellpart.')]\n"
         "public = [n for n in vars(bellpart) if not n.startswith('_')]\n"
@@ -77,6 +68,7 @@ def test_bare_import_loads_no_submodule_and_resolves_them():
         f"for m in {SUBMODULES!r}:\n"
         "    assert globals()[m] is sys.modules['bellpart.' + m] is getattr(bellpart, m), m\n"
     )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", sorted(MODULE_OF))

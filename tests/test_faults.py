@@ -26,6 +26,8 @@ numerator, the B cell fault that ``D_FROM_B`` and ``ZERO_BLOCK_DEFECT``
 cannot see, and a wrong Bell number far past every CLI check above.
 """
 
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -47,10 +49,11 @@ CHECKS = {
 ROW_CHECKS = {"verify", "oracle-check", "egf-check"}
 
 
-def _failing_checks() -> set[str]:
+def _failing_checks(code: int = 1) -> set[str]:
+    """The checks that exit ``code``; every other check exits 0."""
     codes = {name: run(*argv)[0] for name, argv in CHECKS.items()}
-    assert set(codes.values()) <= {0, 1}
-    return {name for name, code in codes.items() if code == 1}
+    assert set(codes.values()) <= {0, code}
+    return {name for name, exit in codes.items() if exit == code}
 
 
 ROW_FAULTS = {
@@ -179,6 +182,20 @@ def _wide_e_bracket(monkeypatch):
     monkeypatch.setattr(dobinski, "exp_neg_bounds", wide)
 
 
+def _enclose_mutant(old, new):
+    """``dobinski._enclose`` compiled with its source text ``old`` read as
+    ``new``: a mutant that breaks the decay one of its two searches rests on."""
+
+    def inject(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(dobinski._enclose))
+        assert source.count(old) == 1
+        scope = {}
+        exec(source.replace(old, new), vars(dobinski), scope)
+        monkeypatch.setattr(dobinski, "_enclose", scope["_enclose"])
+
+    return inject
+
+
 SEAM_FAULTS = {
     # verify and oracle-check read Bell numbers as row sums, never through
     # bells(): blind on purpose
@@ -192,7 +209,20 @@ SEAM_FAULTS = {
     # each interval still contains its Bell number and rounds to it: only the
     # width check sees this
     "e-bracket": (_wide_e_bracket, {"dobinski a", "dobinski b", "dobinski d"}),
+    # the tail bound T no longer falls as R grows: the R search stops at its
+    # bound (exit 3), where it would never end
+    "r-decay": (
+        _enclose_mutant("den * q * (r + 1)", "q * (r + 1)"), {"dobinski a", "dobinski b", "dobinski d"}
+    ),
+    # scale = q^J J! stays 0 from J = 3: the J search stops at its bound
+    "j-decay": (
+        _enclose_mutant("scale *= q * (terms + 1)", "scale *= q // (terms + 1)"),
+        {"dobinski a", "dobinski b", "dobinski d"},
+    ),
 }
+
+# the faults whose checks exit 3, with the AssertionError of a search bound
+BOUND_FAULTS = {"r-decay", "j-decay"}
 
 
 @pytest.mark.parametrize("fault", SEAM_FAULTS)
@@ -200,7 +230,7 @@ def test_seam_fault_detection(monkeypatch, fault):
     inject, expected = SEAM_FAULTS[fault]
     assert expected, "every fault must fail at least one check"
     inject(monkeypatch)
-    assert _failing_checks() == expected
+    assert _failing_checks(3 if fault in BOUND_FAULTS else 1) == expected
 
 
 def test_bell_fault_egf_lines(monkeypatch):

@@ -7,12 +7,9 @@ stderr.  The modules that a bare interpreter loads are subtracted, so that a
 site hook cannot fail the test.
 """
 
-import subprocess
-import sys
-
 import pytest
 
-from conftest import ENV
+from conftest import run_fresh
 
 REPORT_MODULES = "print(' '.join(sys.modules), file=sys.stderr)"
 
@@ -45,26 +42,16 @@ LOADS_DECIMAL = {"table", "table-json", "dobinski"}
 LOADS_FRACTIONS = {"dobinski"}
 
 
-def _child(code: str, *argv: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env=ENV,
-        timeout=60,
-    )
-
-
 @pytest.fixture(scope="module")
 def bare_modules() -> set[str]:
-    proc = _child(f"import sys; {REPORT_MODULES}")
+    proc = run_fresh(f"import sys; {REPORT_MODULES}")
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 
 
 @pytest.mark.parametrize("name", CALLS)
 def test_subcommand_loads_only_what_it_runs(name, bare_modules):
-    proc = _child(CHILD, *CALLS[name])
+    proc = run_fresh(CHILD, *CALLS[name])
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.splitlines()[-1].split())
     loaded = modules - bare_modules
@@ -98,7 +85,7 @@ def test_subcommand_loads_only_what_it_runs(name, bare_modules):
 def test_help_and_usage_errors_import_argparse_on_demand(argv, code):
     # argparse is imported only by build_parser and _arg, which run on these;
     # main returns their codes too, so the child reports its modules
-    proc = _child(CHILD, *argv)
+    proc = run_fresh(CHILD, *argv)
     assert proc.returncode == code
     assert "argparse" in proc.stderr.splitlines()[-1].split()
     if code == 0:
@@ -122,7 +109,7 @@ series.egf_triangle = broken
 from bellpart.cli import main
 sys.exit(main(["egf-check", "3"]))
 """
-    proc = _child(code)
+    proc = run_fresh(code)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "Traceback" in proc.stderr
