@@ -1,27 +1,71 @@
-"""CLI surface: exit codes on a fault, the decimal context, module state,
-the rows each identity walks, and the argv grammar of both parsers."""
+"""CLI surface: output formats, exit codes, round-trips."""
 
 import decimal
+import json
 import subprocess
 import sys
 from collections import Counter
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellpart import series, triangles
-from bellpart.cli import _DOBINSKI_FN, _TABLE_FAMILIES, _fast_args, build_parser
+from bellpart.cli import _DOBINSKI_FN, _TABLE_FAMILIES, _fast_args, build_parser, main
 from bellpart.triangles import Family, stirling_b
 from conftest import ENV, WallBoundExceeded
 from make_golden import run
 
 
-def _int_table(family, n_max):
-    """The `table` TSV output of rows 0..n_max, built from the int rows."""
-    rows = islice(triangles.rows(family), n_max + 1)
-    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+def test_table_bell_row0():
+    code, out, _ = run("table", "bell", "--rows", "0")
+    assert code == 0
+    assert out == "0\t1\n"
+
+
+def test_table_bell_b_last_line():
+    code, out, _ = run("table", "bell-b", "--rows", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "8\t219920"
+
+
+def test_table_stirling_d_matches_triangle():
+    code, out, _ = run("table", "stirling-d", "--rows", "7")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 8
+    # round-trip: re-parse the TSV and compare against the int rows
+    for line, row in zip(lines, triangles.rows(Family.TYPE_D)):
+        assert [int(c) for c in line.split("\t")] == row
+
+
+def test_table_json_format():
+    code, out, _ = run("table", "stirling-b", "--rows", "3", "--format", "json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[3] == {"n": 3, "cells": [1, 13, 9, 1]}
+
+
+def _int_table(family, n_max, fmt):
+    """The `table` output built from the int rows, as the CLI once printed it."""
+    lines = []
+    for n, row in zip(range(n_max + 1), triangles.rows(family)):
+        if fmt == "json":
+            lines.append(json.dumps({"n": n, "cells": row}, separators=(",", ":")))
+        else:
+            lines.append(("\t" if fmt == "tsv" else " ").join(map(str, row)))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "text"])
+@pytest.mark.parametrize(
+    "name, family",
+    [("stirling", Family.CLASSICAL), ("stirling-b", Family.TYPE_B), ("stirling-d", Family.TYPE_D)],
+)
+def test_decimal_table_bytes_equal_int_rows(name, family, fmt):
+    code, out, _ = run("table", name, "--rows", "120", "--format", fmt)
+    assert code == 0
+    assert out == _int_table(family, 120, fmt)
 
 
 def test_table_cell_past_precision_exits_3(monkeypatch):
@@ -35,7 +79,7 @@ def test_table_cell_past_precision_exits_3(monkeypatch):
     # rows up to the first that needs more digits were printed exactly
     printed = out.splitlines()
     assert 0 < len(printed) < 41
-    assert printed == _int_table(Family.TYPE_B, len(printed) - 1).splitlines()
+    assert printed == _int_table(Family.TYPE_B, len(printed) - 1, "tsv").splitlines()
 
 
 def test_table_leaves_decimal_context_unchanged():
@@ -52,6 +96,18 @@ def test_table_leaves_decimal_context_unchanged():
     after = decimal.getcontext()
     assert after is before
     assert (after.prec, after.Emax, after.Emin, dict(after.traps), dict(after.flags)) == state
+
+
+@pytest.mark.parametrize("name, family", [("stirling-b", Family.TYPE_B), ("stirling-d", Family.TYPE_D)])
+def test_table_shows_wrong_b_cell(wrong_cell, name, family):
+    # S_B(5, 2) read as 331, not 330; type D row 5 is built from B row 5, so
+    # S_D(5, 2) moves by one too, and no other cell moves
+    expected = [line.split("\t") for line in _int_table(family, 6, "tsv").splitlines()]
+    expected[5][2] = str(int(expected[5][2]) + 1)
+    wrong_cell(Family.TYPE_B, 5, 2, 331)
+    code, out, _ = run("table", name, "--rows", "6")
+    assert code == 0
+    assert [line.split("\t") for line in out.splitlines()] == expected
 
 
 def test_commands_reading_rows_in_order_leave_caches_empty():
@@ -76,6 +132,20 @@ def test_commands_reading_rows_in_order_leave_caches_empty():
     assert all(after[name] is value for name, value in before.items())
     assert triangles._rows_classical == ()
     assert triangles._rows_b == ()
+
+
+def test_table_unknown_family_usage_error():
+    assert run("table", "stirling-q", "--rows", "3")[:2] == (2, "")
+
+
+def test_table_negative_rows_usage_error():
+    assert run("table", "bell", "--rows", "-1")[:2] == (2, "")
+
+
+def test_verify_all():
+    code, out, _ = run("verify", "all", "--max-n", "10")
+    assert code == 0
+    assert out.count("PASS") == 7
 
 
 def _count_walked_rows(monkeypatch) -> Counter:
@@ -123,16 +193,91 @@ def test_verify_walks_only_rows_read(monkeypatch, ident):
     assert walked == WALKED_ROWS[ident]
 
 
+def test_verify_single_shows_values():
+    code, out, _ = run("verify", "ODD_WEIGHT_SUM", "--max-n", "3")
+    assert code == 0
+    assert "n=2 lhs=rhs=18" in out
+    assert "n=3 lhs=rhs=92" in out
+
+
 def test_verify_d_bell_rec_reconstruction():
     code, out, _ = run("verify", "D_BELL_REC", "--max-n", "5")
     assert code == 0
     assert "n=5 lhs=rhs=403" in out
 
 
+def test_verify_unknown_id_usage_error():
+    assert run("verify", "NOT_AN_IDENTITY", "--max-n", "3")[:2] == (2, "")
+
+
+def test_verify_negative_max_n_usage_error():
+    assert run("verify", "all", "--max-n", "-3")[:2] == (2, "")
+
+
+def test_enumerate_d1():
+    code, out, _ = run("enumerate", "d", "1")
+    assert code == 0
+    assert out == "0 | 1/-1\ncount 1\n"
+
+
+def test_enumerate_d2():
+    code, out, _ = run("enumerate", "d", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "count 4"
+    assert len(lines) == 5
+
+
 def test_enumerate_pairs_filter():
     code, out, _ = run("enumerate", "b", "4", "--pairs", "2")
     assert code == 0
     assert out.splitlines()[-1] == f"count {stirling_b(4, 2)}"
+
+
+def test_enumerate_pairs_beyond_n():
+    code, out, _ = run("enumerate", "b", "2", "--pairs", "5")
+    assert code == 0
+    assert out == "count 0\n"
+
+
+def test_enumerate_negative_pairs_usage_error():
+    assert run("enumerate", "b", "3", "--pairs", "-1")[:2] == (2, "")
+
+
+def test_enumerate_json_records():
+    code, out, _ = run("enumerate", "d", "2", "--format", "json")
+    assert code == 0
+    lines = out.splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    assert {"n": 2, "zero_support": [1, 2], "pairs": []} in records
+    assert all(rec["n"] == 2 for rec in records)
+
+
+def test_enumerate_classical():
+    code, out, _ = run("enumerate", "classical", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "count 5"
+    assert "1,2,3" in lines
+
+
+def test_enumerate_deterministic():
+    assert run("enumerate", "b", "3") == run("enumerate", "b", "3")
+
+
+def test_oracle_check():
+    code, out, _ = run("oracle-check", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "oracle-check: PASS"
+
+
+def test_oracle_check_0_b_row(wrong_cell):
+    # B row 0 read as [2]: the walk finds the one signed partition of <0>,
+    # and only the family whose row is wrong is reported
+    wrong_cell(Family.TYPE_B, 0, 0, 2)
+    code, out, _ = run("oracle-check", "0")
+    assert code == 1
+    assert out.splitlines() == ["n=0 family=b: MISMATCH [1] != [2]", "oracle-check: FAIL"]
 
 
 def test_oracle_check_9():
@@ -142,6 +287,28 @@ def test_oracle_check_9():
         "n=9 ok: A=21147 B=1832224 D=1149079",
         "oracle-check: PASS",
     ]
+
+
+def test_dobinski_ok():
+    code, out, _ = run("dobinski", "d", "7", "1/2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("lo ")
+    assert lines[1].startswith("hi ")
+    assert "rounded 17867" in lines
+    assert lines[-1] == "OK"
+
+
+def test_dobinski_a0():
+    code, out, _ = run("dobinski", "a", "0", "1/2")
+    assert code == 0
+    assert "rounded 1" in out
+
+
+def test_dobinski_b8():
+    code, out, _ = run("dobinski", "b", "8", "1/2")
+    assert code == 0
+    assert "rounded 219920" in out
 
 
 @pytest.fixture
@@ -168,6 +335,17 @@ def test_dobinski_prints_past_int_str_cap(default_int_str_cap):
     assert len(lines[0]) > 4300 and len(lo.split("/")[0]) > 4300
 
 
+def test_dobinski_bad_width():
+    for bad in ("zero/half", "0", "-1/2", "1/0"):
+        assert run("dobinski", "a", "3", bad)[:2] == (2, ""), bad
+
+
+@pytest.mark.parametrize("family", ["a", "b", "d"])
+@pytest.mark.parametrize("n", ["-1", "-2"])
+def test_dobinski_negative_n_usage_error(family, n):
+    assert run("dobinski", family, n, "1/2")[:2] == (2, "")
+
+
 def test_closed_stdout_exits_141_quietly():
     # a reader that stops early, like `| head -c 100`, is not a crash
     for args in (
@@ -188,13 +366,100 @@ def test_closed_stdout_exits_141_quietly():
         assert stderr == b"", args
 
 
+def test_egf_check():
+    code, out, _ = run("egf-check", "7")
+    assert code == 0
+    assert "1,1,4,15,72,403,2546,17867" in out
+    assert out.splitlines()[-1] == "egf-check: PASS"
+
+
+def test_egf_check_order0():
+    code, out, _ = run("egf-check", "0")
+    assert code == 0
+
+
+def test_egf_check_bell_mismatch(monkeypatch):
+    real = series.egf_triangle
+
+    def wrong_d(family, order):
+        rows = real(family, order)
+        if family is Family.TYPE_D:
+            rows[-1][0] += 1
+        return rows
+
+    monkeypatch.setattr(series, "egf_triangle", wrong_d)
+    code, out, _ = run("egf-check", "3")
+    assert code == 1
+    assert out.splitlines() == [
+        "bell-classical: 1,1,2,5 OK",
+        "bell-b: 1,2,6,24 OK",
+        "bell-d: 1,1,4,16 MISMATCH",
+        "stirling-d row n=3: MISMATCH",
+        "egf-check: FAIL",
+    ]
+
+
+def test_egf_check_column_mismatch(monkeypatch):
+    real = series.egf_triangle
+
+    def wrong_cells(family, order):
+        # S_D(3, 1) and S_D(3, 2) moved by one each way: the row sum holds
+        rows = real(family, order)
+        if family is Family.TYPE_D:
+            rows[3][1] += 1
+            rows[3][2] -= 1
+        return rows
+
+    monkeypatch.setattr(series, "egf_triangle", wrong_cells)
+    code, out, _ = run("egf-check", "3")
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "bell-d: 1,1,4,15 OK",
+        "stirling-d row n=3: MISMATCH",
+        "egf-check: FAIL",
+    ]
+
+
+def test_egf_check_catches_cells_with_right_row_sum(monkeypatch):
+    # classical row 4 is [0, 1, 7, 6, 1]; swapping two cells keeps its sum,
+    # and type D reads no classical row: it walks U(n,k) = 2^(n-k) S(n,k)
+    real = triangles.rows
+
+    def swapped(family):
+        walk = real(family)
+        if family is Family.CLASSICAL:
+            walk = ([0, 1, 6, 7, 1] if n == 4 else row for n, row in enumerate(walk))
+        return walk
+
+    monkeypatch.setattr(triangles, "rows", swapped)
+    code, out, _ = run("egf-check", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "bell-classical: 1,1,2,5,15 OK",
+        "stirling-classical row n=4: MISMATCH",
+        "bell-b: 1,2,6,24,116 OK",
+        "bell-d: 1,1,4,15,72 OK",
+        "egf-check: FAIL",
+    ]
+
+
 def test_d_underflow_exits_3(wrong_cell):
     # U(4,1) read as 10^6, not 8, in the Decimal walk that table prints
     wrong_cell("U", 4, 1, 10**6)
     code, out, err = run("table", "stirling-d", "--rows", "5")
     assert code == 3
     assert err.splitlines()[-1] == "AssertionError: stirling_d underflow at (n=5, k=1)"
-    assert out == _int_table(Family.TYPE_D, 4)
+    assert out == _int_table(Family.TYPE_D, 4, "tsv")
+
+
+def test_internal_error_exits_3(monkeypatch):
+    def broken(family, order):
+        raise RuntimeError("egf triangle: broken")
+
+    monkeypatch.setattr(series, "egf_triangle", broken)
+    code, out, err = run("egf-check", "3")
+    assert (code, out) == (3, "")
+    assert "RuntimeError: egf triangle: broken" in err
 
 
 def test_wall_bound_escapes_main(monkeypatch):
@@ -220,6 +485,21 @@ def test_wall_bound_escapes_hypothesis():
     with pytest.raises(WallBoundExceeded):
         hung()
     assert len(examples) == 1
+
+
+@pytest.mark.parametrize(
+    "ident, cell, line",
+    [
+        ("D_FROM_B", (0, 0, 2), "D_FROM_B: FAIL at n=0 k=0: lhs=1 rhs=2"),
+        ("B_BELL_REC", (3, 1, 14), "B_BELL_REC: FAIL at n=2: lhs=25 rhs=24"),
+    ],
+)
+def test_verify_failure_line_and_exit_code(wrong_cell, ident, cell, line):
+    # B cell (n, k) walked wrong; every later B row is still the true one
+    wrong_cell(Family.TYPE_B, *cell)
+    code, out, _ = run("verify", ident, "--max-n", "5")
+    assert code == 1
+    assert out.splitlines()[-1] == line
 
 
 # The parser's grammar, small sizes only: ints with signs and leading zeros,
@@ -344,3 +624,12 @@ def test_fast_args_agrees_with_argparse(argv):
         assert vars(fast) == vars(build_parser().parse_args(argv)), argv
 
 
+@pytest.mark.parametrize(
+    "argv, plain",
+    [(["table", "bell", "--rows", "2"], True), (["table", "bell", "--rows=2"], False)],
+)
+def test_main_reads_sys_argv_on_both_paths(capsys, monkeypatch, argv, plain):
+    monkeypatch.setattr(sys, "argv", ["bellpart", *argv])
+    assert (_fast_args(argv) is not None) == plain
+    assert main() == 0
+    assert capsys.readouterr().out == "0\t1\n1\t1\n2\t2\n"

@@ -13,7 +13,22 @@ from hypothesis import strategies as st
 from bellpart import dobinski, triangles
 from bellpart.dobinski import dobinski_a, dobinski_b, dobinski_d
 from bellpart.partitions import count_one_pass, line_groups
-from bellpart.triangles import Family, bell_a, bell_b, bell_d, bells, rows, stirling_row
+from bellpart.series import egf_triangle
+from bellpart.triangles import Family, bell, bell_a, bell_b, bell_d, bells, rows, stirling_row
+
+
+@given(st.sampled_from(Family), st.integers(0, 30))
+@settings(max_examples=25, deadline=None)
+def test_row_matches_egf_triangle(family, n):
+    # the generating function shares no code with the row recurrences
+    assert stirling_row(family, n) == egf_triangle(family, n)[n]
+
+
+@given(st.sampled_from(Family), st.integers(0, 120))
+@settings(max_examples=25, deadline=None)
+def test_bell_recurrence_matches_row_sum(family, n):
+    # bell reads the Bell recurrence; the row comes from the row walk
+    assert bell(family, n) == sum(stirling_row(family, n))
 
 
 @given(st.sampled_from(Family), st.integers(0, 6), st.booleans(), st.data())
@@ -25,6 +40,14 @@ def test_enumeration_matches_row(family, n, as_json, data):
     lines = [line for group in line_groups(n, family, as_json, k) for line in group]
     assert len(lines) == len(set(lines)) == row[k]
     assert count_one_pass(n)[family] == row
+
+
+@given(st.integers(0, 80))
+@settings(max_examples=25, deadline=None)
+def test_d_row_between_zero_and_b_row(n):
+    d_row = stirling_row(Family.TYPE_D, n)
+    b_row = stirling_row(Family.TYPE_B, n)
+    assert all(0 <= d <= b for d, b in zip(d_row, b_row, strict=True))
 
 
 # (family, name of its Dobinski numerator num_F(n, r), q)
